@@ -36,7 +36,6 @@ from .generate import (
     save_bundle,
 )
 from .landmark import (
-    AlgorithmParams,
     Clustering,
     LandmarkTable,
     StabilityParams,
@@ -64,8 +63,6 @@ from .metric import (
 )
 from .sweep import (
     SweepResult,
-    ThresholdCandidates,
-    enumerate_thresholds,
     stop_bound_from,
     sweep,
 )
@@ -82,13 +79,12 @@ __all__ = [
     "check_metric", "ingest_similarity", "read_pair_file",
     "read_labels_csv", "write_labels_csv", "INFINITE_DISTANCE",
     # landmark algorithm
-    "StabilityParams", "AlgorithmParams", "LandmarkTable", "Clustering",
+    "StabilityParams", "LandmarkTable", "Clustering",
     "sample_landmarks", "landmark_count_for", "build_landmark_table",
     "cluster_min_sum", "assign_remainder", "conceptual_cluster_min_sum",
     "threshold_from_opt",
     # threshold sweep
-    "ThresholdCandidates", "SweepResult", "enumerate_thresholds",
-    "sweep", "stop_bound_from",
+    "SweepResult", "sweep", "stop_bound_from",
     # evaluation
     "ObjectiveValue", "min_sum", "balanced_k_median", "clustering_distance",
     "brute_force_optimum", "classify_points", "verify_structure",

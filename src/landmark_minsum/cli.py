@@ -56,7 +56,7 @@ from .metric import (
     read_labels_csv,
     read_pair_file,
 )
-from .sweep import enumerate_thresholds, stop_bound_from, sweep
+from .sweep import stop_bound_from, sweep
 
 SEED_ENV_VAR = "LANDMARK_MINSUM_SEED"
 
@@ -225,10 +225,7 @@ def cmd_sweep(args) -> dict:
         bound = stop_bound_from(stability, matrix.n)
     else:
         raise ParameterError("need --stop-bound or stability parameters")
-    candidates = enumerate_thresholds(
-        table, matrix.n, mode=args.mode, gamma=args.gamma
-    )
-    result = sweep(table, k, candidates, bound)
+    result = sweep(table, k, bound)
     payload = result.to_dict()
     payload["params"] = {
         "command": "sweep",
@@ -238,7 +235,6 @@ def cmd_sweep(args) -> dict:
         "landmarks": n_prime,
         "landmark_ids": table.landmark_ids,
         "stop_bound": bound,
-        "mode": args.mode,
         "stability": stability.to_dict() if stability else None,
     }
     payload["queries_issued"] = ledger.queries_issued
@@ -409,14 +405,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("sweep", help="ascending-threshold sweep (unknown OPT)")
+    p = sub.add_parser(
+        "sweep",
+        help="ascending-threshold sweep (unknown OPT)",
+        description="Cluster with an unknown optimum: start at the smallest "
+        "positive landmark-point distance and jump to each run's smallest "
+        "fired size x distance product until a run clusters n - b points.",
+    )
     _add_matrix_input(p)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--landmarks", type=int, default=None)
     p.add_argument("--stop-bound", type=int, default=None,
                    help="stop once n - b points are clustered")
-    p.add_argument("--mode", choices=["exact", "geometric"], default="exact")
-    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--budget", type=int, default=None)
     _add_stability(p)
     _add_common(p)

@@ -53,24 +53,6 @@ class StabilityParams:
         return cls(alpha=d["alpha"], epsilon=d["epsilon"], delta=d["delta"])
 
 
-@dataclass(frozen=True)
-class AlgorithmParams:
-    """Direct run parameters: cluster count, landmark count, threshold, seed."""
-
-    k: int
-    n_prime: int
-    threshold: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
-        if self.n_prime < 1:
-            raise ParameterError(f"n_prime must be >= 1, got {self.n_prime}")
-        if not self.threshold > 0:
-            raise ParameterError(f"threshold must be positive, got {self.threshold}")
-
-
 def landmark_count_for(params: StabilityParams, k: int, n: int | None = None) -> int:
     """Landmark budget ln(k/delta) / ((3 + 120/alpha) * epsilon), rounded up.
 
@@ -136,9 +118,6 @@ class LandmarkTable:
             )
         return self._lists
 
-    def finite_distance_values(self) -> np.ndarray:
-        return np.unique(self.pair_dist[np.isfinite(self.pair_dist)])
-
 
 def build_landmark_table(source: DistanceSource, landmark_ids) -> LandmarkTable:
     """Query one row per landmark and sort all landmark-point pairs."""
@@ -157,7 +136,9 @@ def build_landmark_table(source: DistanceSource, landmark_ids) -> LandmarkTable:
     l_flat = np.repeat(np.arange(n_prime, dtype=np.int32), n)
     p_flat = np.tile(np.arange(n, dtype=np.int32), n_prime)
     d_flat = rows.ravel()
-    order = np.lexsort((p_flat, l_flat, d_flat))
+    # the flattened rows are already in (landmark, point) order, so a stable
+    # sort on distance alone yields the (distance, landmark, point) order
+    order = np.argsort(d_flat, kind="stable")
     return LandmarkTable(
         ids, rows, l_flat[order], p_flat[order], d_flat[order], n
     )
@@ -276,6 +257,21 @@ def cluster_min_sum(
     become the final cluster.  Fewer than k non-empty clusters are padded
     with empty ones under a warning.
     """
+    return _stream_min_sum(table, k, threshold, trace)[0]
+
+
+def _stream_min_sum(
+    table: LandmarkTable,
+    k: int,
+    threshold: float,
+    trace: list | None = None,
+) -> tuple[Clustering, float]:
+    """`cluster_min_sum` plus the smallest product max_size * r2 that fired.
+
+    The run depends on T only through its tests `max_size * r2 > T`, so
+    every threshold in [T, smallest fired product) gives the same run; the
+    product is +inf when no test fired.
+    """
     n = table.n
     _validate_run(n, k, threshold)
     if table.pair_count == 0:
@@ -331,6 +327,7 @@ def cluster_min_sum(
                 balls[j] = set()
                 sizes[j] = 0
 
+    fired = INF
     c = 0
     i = 1
     while i <= k:
@@ -360,6 +357,7 @@ def cluster_min_sum(
         if trace is not None:
             trace.append(("test", r2, max_size))
         while i <= k and max_size * r2 > T:
+            fired = min(fired, max_size * r2)
             best = -1
             best_size = 0
             for j in range(n_prime):
@@ -395,7 +393,7 @@ def cluster_min_sum(
         unassigned=unassigned,
         cluster_landmarks=cluster_landmarks,
         warnings=warnings,
-    )
+    ), fired
 
 
 def assign_remainder(c: Clustering, table: LandmarkTable) -> Clustering:

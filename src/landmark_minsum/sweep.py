@@ -1,8 +1,13 @@
 """Unknown-optimum handling: rerun the sweep with ascending threshold guesses.
 
-The extraction test compares ball-size x radius products against T, so the
-algorithm's behaviour only changes at product values; enumerating them and
-walking upward until enough points are clustered recovers a good threshold
+A run at threshold T depends on T only through its extraction tests
+`max_size * r2 > T`.  If p is the smallest product that fired in the run at
+T, every threshold in [T, p) gives the same run, and p is itself a ball-size
+x distance product.  The walk therefore starts at the smallest positive
+landmark-point distance and jumps from each run's smallest fired product to
+the next, stopping at the first run that clusters enough points.  It visits
+exactly the thresholds where the run changes, so it stops where a walk over
+every size x distance product would, without listing those products and
 without any further distance queries.
 """
 
@@ -18,59 +23,10 @@ from .landmark import (
     Clustering,
     LandmarkTable,
     StabilityParams,
+    _stream_min_sum,
     assign_remainder,
-    cluster_min_sum,
     snapped_ceil,
 )
-
-
-@dataclass
-class ThresholdCandidates:
-    """Strictly ascending candidate thresholds with their provenance."""
-
-    values: np.ndarray
-    provenance: str  # "exact" | "geometric(<gamma>)"
-
-    def __len__(self):
-        return len(self.values)
-
-
-def enumerate_thresholds(
-    table: LandmarkTable,
-    n: int | None = None,
-    mode: str = "exact",
-    gamma: float = 0.5,
-) -> ThresholdCandidates:
-    """Candidate products of ball sizes (1..n) and landmark-point distances.
-
-    Exact mode emits every achievable size x distance product (zero-distance
-    products dropped since T must be positive).  Geometric mode bridges the
-    same [min, max] range with a (1+gamma) grid; it carries no exactness
-    guarantee and is flagged as such in the provenance.
-    """
-    if n is None:
-        n = table.n
-    dists = table.finite_distance_values()
-    dists = dists[dists > 0]
-    if dists.size == 0:
-        raise DataError("no positive finite landmark-point distances")
-    if mode == "exact":
-        products = np.unique(
-            np.outer(np.arange(1, n + 1, dtype=np.float64), dists)
-        )
-        return ThresholdCandidates(products, "exact")
-    if mode == "geometric":
-        if not gamma > 0:
-            raise ParameterError(f"gamma must be positive, got {gamma}")
-        lo = float(dists.min())  # smallest product: size 1, smallest distance
-        hi = float(n * dists.max())
-        if lo == hi:
-            return ThresholdCandidates(np.array([lo]), f"geometric({gamma})")
-        steps = int(math.ceil(math.log(hi / lo) / math.log1p(gamma)))
-        grid = lo * (1.0 + gamma) ** np.arange(steps)
-        values = np.unique(np.append(grid, hi))
-        return ThresholdCandidates(values, f"geometric({gamma})")
-    raise ParameterError(f"unknown enumeration mode {mode!r}")
 
 
 def stop_bound_from(params: StabilityParams, n: int) -> int:
@@ -104,21 +60,20 @@ class SweepResult:
         }
 
 
-def sweep(
-    table: LandmarkTable,
-    k: int,
-    candidates: ThresholdCandidates,
-    stop_bound_b: int,
-) -> SweepResult:
-    """Run the clustering once per ascending candidate until coverage.
+def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
+    """Jump between firing products until a run clusters n - b points.
 
-    Stops at the first candidate clustering at least n - b points before
-    remainder assignment, then completes the winner with assign_remainder.
-    Reuses the landmark table throughout, so no new queries are issued.
+    Starts at the smallest positive finite landmark-point distance; each
+    run's smallest fired product is the next threshold tried.  Stops at the
+    first run clustering at least n - b points before remainder assignment,
+    then completes the winner with assign_remainder.  Reuses the landmark
+    table throughout, so no new queries are issued.
     """
     n = table.n
-    if len(candidates) == 0:
-        raise ParameterError("no threshold candidates")
+    dists = table.pair_dist
+    positive = dists[(dists > 0) & np.isfinite(dists)]
+    if positive.size == 0:
+        raise DataError("no positive finite landmark-point distances")
     if not 0 <= stop_bound_b < n:
         raise ParameterError(f"need 0 <= b < n, got b={stop_bound_b}, n={n}")
     needed = n - stop_bound_b
@@ -126,17 +81,16 @@ def sweep(
     best_cov = -1
     best_t = None
     best_run = None
-    for t in candidates.values:
-        t = float(t)
-        run = cluster_min_sum(table, k, t)
+    t = float(positive.min())
+    # the smallest fired product exceeds t, so t rises strictly; once
+    # nothing fires the run clusters every point and the walk stops
+    while t < math.inf:
+        run, fired = _stream_min_sum(table, k, t)
         cov = run.points_clustered()
         coverage.append((t, cov))
         if cov > best_cov:
             best_cov, best_t, best_run = cov, t, run
         if cov >= needed:
-            warnings = list(run.warnings)
-            if candidates.provenance != "exact":
-                warnings.append(f"candidates:{candidates.provenance}")
             final = assign_remainder(run, table)
             return SweepResult(
                 chosen_threshold=t,
@@ -144,8 +98,9 @@ def sweep(
                 runs_executed=len(coverage),
                 points_clustered_at_stop=cov,
                 coverage_per_candidate=coverage,
-                warnings=warnings,
+                warnings=list(run.warnings),
             )
+        t = fired
     raise SweepFailure(
         f"no candidate clustered >= {needed} of {n} points "
         f"(best {best_cov} at T={best_t})",

@@ -203,8 +203,7 @@ def test_criterion_06_query_accounting():
     run = lm.cluster_min_sum(table, 3, lm.ideal_threshold(inst))
     lm.assign_remainder(run, table)
     after_cluster = src.ledger.queries_issued
-    cands = lm.enumerate_thresholds(table, inst.n)
-    lm.sweep(table, 3, cands, lm.stop_bound_from(inst.stability, inst.n))
+    lm.sweep(table, 3, lm.stop_bound_from(inst.stability, inst.n))
     after_sweep = src.ledger.queries_issued
     ok = after_build == n_prime == after_cluster == after_sweep
     _report("06 query accounting", ok,
@@ -214,7 +213,7 @@ def test_criterion_06_query_accounting():
 
 @pytest.mark.criterion("07 sweep correctness")
 def test_criterion_07_sweep_correctness():
-    """30 seeded structure-verified instances with exact enumeration: the
+    """30 seeded structure-verified instances with the exact sweep: the
     sweep stops at T <= T* and the post-remainder clustering satisfies
     dist <= (2 b_observed + eps n)/n."""
     failures = []
@@ -235,10 +234,7 @@ def test_criterion_07_sweep_correctness():
             lm.MatrixDistanceSource(inst.matrix),
             lm.plant_landmarks(inst, per_core=1, seed=seed),
         )
-        result = lm.sweep(
-            table, len(sizes), lm.enumerate_thresholds(table, inst.n),
-            lm.stop_bound_from(st, inst.n),
-        )
+        result = lm.sweep(table, len(sizes), lm.stop_bound_from(st, inst.n))
         t_star = lm.ideal_threshold(inst)
         dist = lm.clustering_distance(result.clustering, inst.target)
         bound = (2 * report.b_observed + st.epsilon * inst.n) / inst.n
@@ -318,9 +314,7 @@ def test_criterion_10_ingestion_end_to_end():
         lm.MatrixDistanceSource(matrix),
         lm.sample_landmarks(matrix.n, 6, seed=3),
     )
-    result = lm.sweep(
-        table, 3, lm.enumerate_thresholds(table, matrix.n), stop_bound_b=2
-    )
+    result = lm.sweep(table, 3, stop_bound_b=2)
     result.clustering.validate()
     groups = lm.Clustering(
         n=27,

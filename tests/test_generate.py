@@ -14,7 +14,6 @@ from landmark_minsum import (
     check_metric,
     classify_points,
     cluster_min_sum,
-    enumerate_thresholds,
     generate,
     generate_adversarial,
     ideal_threshold,
@@ -170,9 +169,8 @@ class TestAdversarial:
         table = build_landmark_table(
             MatrixDistanceSource(inst.matrix), sample_landmarks(30, 6, 2)
         )
-        cands = enumerate_thresholds(table, 30)
         try:
-            res = sweep(table, 2, cands, stop_bound_b=3)
+            res = sweep(table, 2, stop_bound_b=3)
             res.clustering.validate()
         except SweepFailure as exc:  # controlled failure is acceptable too
             assert exc.best_clustering is not None

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from landmark_minsum import (
     Clustering,
@@ -126,6 +127,25 @@ class TestBuildTable:
         got = list(zip(t.pair_dist.tolist(), t.pair_landmark.tolist(),
                        t.pair_point.tolist()))
         assert got == naive
+
+    def test_matches_lexsort_with_ties_zeros_and_inf(self):
+        rng = np.random.default_rng(4)
+        pts = rng.integers(0, 4, size=(60, 2)).astype(float)
+        pts[10:20] = pts[0]  # duplicate points: zero distances
+        vals = np.round(squareform(pdist(pts)))  # many tied distances
+        vals[vals == 0] = -0.0
+        np.fill_diagonal(vals, 0.0)
+        far = np.arange(60) >= 45
+        vals[np.ix_(far, ~far)] = vals[np.ix_(~far, far)] = math.inf
+        landmarks = sample_landmarks(60, 12, seed=4)
+        t = table_for(MetricMatrix(vals), landmarks)
+        rows = vals[landmarks]
+        l_flat = np.repeat(np.arange(12), 60)
+        p_flat = np.tile(np.arange(60), 12)
+        order = np.lexsort((p_flat, l_flat, rows.ravel()))
+        assert np.array_equal(t.pair_landmark, l_flat[order])
+        assert np.array_equal(t.pair_point, p_flat[order])
+        assert t.pair_dist.tobytes() == rows.ravel()[order].tobytes()
 
     def test_infinite_pairs_last(self):
         vals = np.zeros((3, 3))
