@@ -42,7 +42,6 @@ from .landmark import (
     assign_remainder,
     build_landmark_table,
     cluster_min_sum,
-    conceptual_cluster_min_sum,
     landmark_count_for,
     sample_landmarks,
     threshold_from_opt,
@@ -81,8 +80,7 @@ __all__ = [
     # landmark algorithm
     "StabilityParams", "LandmarkTable", "Clustering",
     "sample_landmarks", "landmark_count_for", "build_landmark_table",
-    "cluster_min_sum", "assign_remainder", "conceptual_cluster_min_sum",
-    "threshold_from_opt",
+    "cluster_min_sum", "assign_remainder", "threshold_from_opt",
     # threshold sweep
     "SweepResult", "sweep", "stop_bound_from",
     # evaluation

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, ParameterError
 from .landmark import Clustering, StabilityParams, sample_landmarks
@@ -73,6 +72,9 @@ def balanced_k_median(c: Clustering, m: MetricMatrix) -> ObjectiveValue:
 
 
 def _labels_distance(lab1: np.ndarray, lab2: np.ndarray, k: int, n: int) -> float:
+    # imported here so that importing the package (and the CLI) skips scipy
+    from scipy.optimize import linear_sum_assignment
+
     table = np.zeros((k, k), dtype=np.int64)
     np.add.at(table, (lab1, lab2), 1)
     rows, cols = linear_sum_assignment(-table)

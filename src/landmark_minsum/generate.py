@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import GenerationError, ParameterError
 from .evaluation import balanced_k_median
@@ -183,6 +182,13 @@ def _sample_ball(center: np.ndarray, radius: float, count: int, rng) -> np.ndarr
     return center + g * r[:, None]
 
 
+def _euclidean_matrix(points: np.ndarray) -> MetricMatrix:
+    # imported here so that importing the package (and the CLI) skips scipy
+    from scipy.spatial.distance import pdist, squareform
+
+    return MetricMatrix(squareform(pdist(points)))
+
+
 def generate(spec: InstanceSpec) -> Instance:
     """Generate a planted-core instance with declared stability parameters.
 
@@ -230,7 +236,7 @@ def generate(spec: InstanceSpec) -> Instance:
             clusters[int(c)].append(int(pid))
     target = Clustering(n=n, clusters=[sorted(c) for c in clusters])
 
-    matrix = MetricMatrix(squareform(pdist(points)))
+    matrix = _euclidean_matrix(points)
 
     w = balanced_k_median(target, matrix).value / n
     stability = None
@@ -298,7 +304,7 @@ def generate_adversarial(kind: str, n: int, k: int, seed: int = 0) -> Instance:
         blob = rng.normal(0.0, 1.0, size=(n - m_out, 2))
         outliers = rng.normal(0.0, 0.05, size=(m_out, 2)) + np.array([500.0, 0.0])
         points = np.vstack([blob, outliers])
-        matrix = MetricMatrix(squareform(pdist(points)))
+        matrix = _euclidean_matrix(points)
         clusters = [list(range(n - m_out)), list(range(n - m_out, n))]
         target = Clustering(n=n, clusters=clusters)
         return Instance(matrix, target, clusters, points=points, kind=kind)
@@ -308,7 +314,7 @@ def generate_adversarial(kind: str, n: int, k: int, seed: int = 0) -> Instance:
     reps = [n // k + (1 if i < n % k else 0) for i in range(k)]
     points = np.vstack([np.repeat(base[i][None, :], reps[i], axis=0)
                         for i in range(k)])
-    matrix = MetricMatrix(squareform(pdist(points)))
+    matrix = _euclidean_matrix(points)
     clusters = []
     start = 0
     for r in reps:

@@ -3,9 +3,7 @@
 The production path (`cluster_min_sum`) consumes a globally sorted stream of
 (landmark, point, distance) pairs, growing a ball around each landmark and
 extracting a cluster whenever some ball's size times the next pair distance
-exceeds the threshold T.  `conceptual_cluster_min_sum` is the continuous-
-radius restatement used as a test oracle: it recomputes balls from a full
-matrix at every radius event instead of maintaining stream state.
+exceeds the threshold T.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, InvariantViolation, ParameterError
-from .metric import DistanceSource, MetricMatrix
+from .metric import DistanceSource
 
 INF = math.inf
 
@@ -425,118 +423,5 @@ def assign_remainder(c: Clustering, table: LandmarkTable) -> Clustering:
         clusters=[sorted(m) for m in clusters],
         unassigned=[],
         cluster_landmarks=c.cluster_landmarks,
-        warnings=warnings,
-    )
-
-
-def conceptual_cluster_min_sum(
-    matrix: MetricMatrix,
-    landmark_ids,
-    k: int,
-    threshold: float,
-) -> Clustering:
-    """Continuous-radius restatement of the sweep, as a test oracle.
-
-    Balls B_l(r) = {active s : d(l,s) <= r} are recomputed from the matrix
-    at every radius event (an active landmark-point distance).  A ball fires
-    when size * r >= T somewhere before the next event radius; the extracted
-    cluster merges every active ball overlapping the firing one.  Running
-    out of finite event radii reports the remaining points as one cluster.
-    """
-    n = matrix.n
-    _validate_run(n, k, threshold)
-    ids = [int(x) for x in landmark_ids]
-    if not ids:
-        raise ParameterError("need at least one landmark")
-    if len(set(ids)) != len(ids):
-        raise ParameterError("landmark ids must be distinct")
-    T = float(threshold)
-    rows = matrix.values[np.asarray(ids)]
-    n_prime = len(ids)
-    pos_by_point = {pid: j for j, pid in enumerate(ids)}
-
-    active = np.ones(n, dtype=bool)
-    alive = np.ones(n_prime, dtype=bool)
-
-    clusters: list[list[int]] = []
-    cluster_landmarks: list[list[int]] = []
-    warnings: list[str] = []
-
-    def active_distances():
-        sub = rows[alive][:, active]
-        return sub[np.isfinite(sub)]
-
-    def ball_sizes_at(r: float) -> np.ndarray:
-        within = (rows <= r) & active[None, :]
-        sizes = within.sum(axis=1)
-        sizes[~alive] = 0
-        return sizes
-
-    def extract_at(r: float) -> None:
-        nonlocal active, alive
-        within = (rows <= r) & active[None, :]
-        within[~alive] = False
-        sizes = within.sum(axis=1)
-        best = int(np.argmax(sizes))  # first maximum = lowest position
-        overlap = (within & within[best]).any(axis=1)
-        members = np.nonzero(within[overlap].any(axis=0))[0]
-        clusters.append([int(x) for x in members])
-        lmarks = []
-        for p in members:
-            active[p] = False
-            pos = pos_by_point.get(int(p))
-            if pos is not None:
-                alive[pos] = False
-                lmarks.append(int(p))
-        cluster_landmarks.append(lmarks)
-
-    def emit_remaining() -> None:
-        rest = np.nonzero(active)[0]
-        clusters.append([int(x) for x in rest])
-        cluster_landmarks.append(
-            sorted(pid for pid in ids if active[pid])
-        )
-        active[rest] = False
-
-    i = 1
-    last = -INF
-    while i <= k:
-        dists = active_distances()
-        beyond = dists[dists > last]
-        if beyond.size == 0:
-            emit_remaining()
-            break
-        r = float(beyond.min())
-        later = beyond[beyond > r]
-        if later.size == 0:
-            emit_remaining()
-            break
-        while i <= k:
-            # refresh the next event radius: extractions can retire every
-            # pair at the previously peeked distance
-            dists = active_distances()
-            later = dists[dists > r]
-            if later.size == 0:
-                break  # next outer pass reports the remaining points
-            r_next = float(later.min())
-            sizes = ball_sizes_at(r)
-            max_size = int(sizes.max()) if sizes.size else 0
-            if not (max_size * r >= T or max_size * r_next > T):
-                break
-            extract_at(r)
-            i += 1
-        last = r
-
-    unassigned = [int(x) for x in np.nonzero(active)[0]]
-    if len(clusters) < k:
-        warnings.append(f"padded_empty_clusters:{k - len(clusters)}")
-        while len(clusters) < k:
-            clusters.append([])
-            cluster_landmarks.append([])
-    return Clustering(
-        n=n,
-        clusters=clusters,
-        unassigned=unassigned,
-        cluster_landmarks=cluster_landmarks,
         warnings=warnings,
     )

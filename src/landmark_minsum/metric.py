@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,32 +148,67 @@ class MetricMatrix:
         with open(path, "w") as fh:
             fh.write(f"{self.n}\n")
             for row in self.values:
-                fh.write(",".join("inf" if np.isinf(v) else repr(float(v))
-                                  for v in row))
+                # repr is the shortest round-trip form, and repr(inf) == "inf"
+                fh.write(",".join(map(repr, row.tolist())))
                 fh.write("\n")
 
     @classmethod
     def from_csv(cls, path) -> "MetricMatrix":
+        """Read the `to_csv` format bit-exact; malformed input raises DataError.
+
+        Blank lines are skipped and whitespace around values is ignored.
+        """
         with open(path) as fh:
             header = fh.readline().strip()
             try:
                 n = int(header)
             except ValueError:
                 raise DataError(f"first line must be the point count, got {header!r}")
-            rows = []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != n:
-                    raise DataError(
-                        f"expected {n} values per row, got {len(parts)}"
+            try:
+                with warnings.catch_warnings():
+                    # an empty body is reported below as a row-count mismatch
+                    warnings.simplefilter("ignore", UserWarning)
+                    values = np.loadtxt(
+                        (line for line in fh if not line.isspace()),
+                        delimiter=",", ndmin=2, comments=None,
                     )
-                rows.append([float(p) for p in parts])
-        if len(rows) != n:
-            raise DataError(f"expected {n} rows, got {len(rows)}")
-        return cls(np.array(rows, dtype=np.float64))
+            except ValueError as exc:
+                _raise_csv_problem(path, n)
+                raise DataError(f"unreadable matrix CSV: {exc}") from None
+        rows, cols = values.shape
+        if rows and cols != n:
+            raise DataError(f"expected {n} values per row, got {cols}")
+        if rows != n:
+            raise DataError(f"expected {n} rows, got {rows}")
+        return cls(values)
+
+
+def _raise_csv_problem(path, n: int) -> None:
+    """Raise the first problem of a matrix CSV body that `np.loadtxt` refused.
+
+    Runs only on that error path, so the fast path keeps no per-value loop.
+    Returns if every line splits into n floats (e.g. `1_0`, which `float`
+    accepts and `np.loadtxt` does not).
+    """
+    with open(path) as fh:
+        fh.readline()
+        row = 0
+        for lineno, line in enumerate(fh, 2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != n:
+                raise DataError(f"expected {n} values per row, got {len(parts)}")
+            for col, part in enumerate(parts):
+                try:
+                    float(part)
+                except ValueError:
+                    raise DataError(
+                        f"line {lineno}: non-numeric value {part!r} "
+                        f"at row {row}, column {col}"
+                    ) from None
+            row += 1
 
 
 @dataclass
@@ -317,15 +353,6 @@ def ingest_similarity(
             conflicts, policy,
         )
     return MetricMatrix(values)
-
-
-def emit_pairs(m: MetricMatrix):
-    """Inverse of ingestion: finite off-diagonal entries as bit-score triples."""
-    for a in range(m.n):
-        for b in range(a + 1, m.n):
-            d = m.values[a, b]
-            if np.isfinite(d) and d > 0:
-                yield (a, b, 1.0 / d)
 
 
 def read_pair_file(path):

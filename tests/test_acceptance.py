@@ -22,6 +22,7 @@ from conftest import (
     random_symmetric,
     record_criterion,
 )
+from oracles import conceptual_cluster_min_sum
 
 # ---------------------------------------------------------------------------
 
@@ -110,7 +111,7 @@ def test_criterion_02_equivalence():
         threshold = float(rng.uniform(1e-6, 1.2 * t_max))
         table = lm.build_landmark_table(lm.MatrixDistanceSource(m), landmarks)
         a = lm.cluster_min_sum(table, k, threshold)
-        b = lm.conceptual_cluster_min_sum(m, landmarks, k, threshold)
+        b = conceptual_cluster_min_sum(m, landmarks, k, threshold)
         if a.clusters != b.clusters or a.unassigned != b.unassigned:
             mismatches += 1
     ok = mismatches == 0

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import landmark_minsum
 from landmark_minsum import InstanceSpec, MetricMatrix, generate, save_bundle
 from landmark_minsum.cli import main
 
@@ -108,6 +112,18 @@ class TestClusterCommand:
         )
         assert code == 2
         assert json.loads(err)["error"] == "BudgetExhaustedError"
+
+    def test_non_numeric_cell_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text("3\n0,1,2\n1,0,abc\n2,1,0\n")
+        code, _, err = run_cli(
+            capsys, "cluster", "--input", str(path), "--k", "2",
+            "--landmarks", "2", "--threshold", "1",
+        )
+        assert code == 3
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert "row 1, column 2" in payload["message"]
 
     def test_deterministic_artifacts(self, capsys, tmp_path):
         path = write_matrix(tmp_path, random_metric(25, 2, seed=6))
@@ -313,3 +329,16 @@ class TestPipeline:
         dist = json.loads(stdout)["dist_to_target"]
         bound = (report.b_observed + params.epsilon * inst.n) / inst.n
         assert dist <= bound
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs about half a second per start; only evaluate, generate and
+    # verify --check-stability import it, on first use
+    src = os.path.dirname(os.path.dirname(landmark_minsum.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import landmark_minsum.cli, sys; "
+         "assert not any(m.startswith('scipy') for m in sys.modules)"],
+        env=env, check=True,
+    )

@@ -17,7 +17,6 @@ from landmark_minsum import (
     build_landmark_table,
     classify_points,
     cluster_min_sum,
-    conceptual_cluster_min_sum,
     generate,
     ideal_threshold,
     landmark_count_for,
@@ -28,6 +27,7 @@ from landmark_minsum import (
 )
 
 from conftest import euclidean_matrix, random_metric, random_symmetric
+from oracles import conceptual_cluster_min_sum
 
 
 def two_pairs_matrix():

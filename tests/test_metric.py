@@ -16,9 +16,9 @@ from landmark_minsum import (
     read_pair_file,
     write_labels_csv,
 )
-from landmark_minsum.metric import emit_pairs
 
 from conftest import euclidean_matrix, random_metric
+from oracles import emit_pairs
 
 
 class TestQueryLedger:
@@ -113,6 +113,66 @@ class TestMetricMatrix:
         m.to_csv(path)
         again = MetricMatrix.from_csv(path)
         assert np.array_equal(m.values, again.values)
+
+    def test_csv_golden_bytes(self, tmp_path):
+        # repr is the shortest round-trip form: the file is fixed byte for byte
+        upper = [math.inf, -0.0, 0.1 + 0.2, 1.0 / 3.0, 1e-7,
+                 1e16, 5e-324, 1.0, 2.5, 123456.789]
+        iu = np.triu_indices(5, 1)
+        vals = np.zeros((5, 5))
+        vals[iu] = upper
+        vals.T[iu] = upper
+        path = tmp_path / "m.csv"
+        MetricMatrix(vals).to_csv(path)
+        assert path.read_bytes() == (
+            b"5\n"
+            b"0.0,inf,-0.0,0.30000000000000004,0.3333333333333333\n"
+            b"inf,0.0,1e-07,1e+16,5e-324\n"
+            b"-0.0,1e-07,0.0,1.0,2.5\n"
+            b"0.30000000000000004,1e+16,1.0,0.0,123456.789\n"
+            b"0.3333333333333333,5e-324,2.5,123456.789,0.0\n"
+        )
+        again = MetricMatrix.from_csv(path)
+        assert np.array_equal(again.values.view(np.uint64), vals.view(np.uint64))
+
+    @pytest.mark.parametrize("body, message", [
+        # rejected with DataError, the message matching `message`
+        (b"three\n0,1\n1,0\n", "first line must be the point count, got 'three'"),
+        (b"\n0,1\n1,0\n", "first line must be the point count, got ''"),
+        (b"3\n0,1,2\n1,0\n2,1,0\n", "expected 3 values per row, got 2"),
+        (b"2\n0,1,2\n1,0,3\n", "expected 2 values per row, got 3"),
+        (b"2\n0,1,\n1,0\n", "expected 2 values per row, got 3"),
+        (b"3\n0,1,2\n1,0,3\n", "expected 3 rows, got 2"),
+        (b"2\n", "expected 2 rows, got 0"),
+        (b"2\n0,1\n1,0\n0,1\n", "expected 2 rows, got 3"),
+        (b"2\n0,1\nabc,0\n", "'abc' at row 1, column 0"),
+        (b"2\n0, \n1,0\n", "'' at row 0, column 1"),
+        (b"2\n0,1_0\n1_0,0\n", "1_0"),
+        (b"2\n0,nan\nnan,0\n", "NaN"),
+        (b"2\n0,-inf\n-inf,0\n", "finite or \\+inf"),
+        # accepted, reading [[0, 1.5], [1.5, 0]]
+        (b"2\n0,1.5\n\n1.5,0\n\n", None),
+        (b"2\n0,1.5\n  \t\n1.5,0\n", None),
+        (b"2\r\n0,1.5\r\n1.5,0\r\n", None),
+        (b" 2 \n 0 , 1.5\n1.5 ,\t0 \n", None),
+        (b"2\n0,1.5\n1.5,0", None),
+    ], ids=["word-header", "empty-header", "short-row", "long-rows",
+            "trailing-comma", "too-few-rows", "no-rows", "too-many-rows",
+            "non-numeric", "empty-cell", "digit-separator", "nan", "minus-inf",
+            "blank-lines", "whitespace-line", "crlf", "spaces", "no-final-newline"])
+    def test_csv_reader_table(self, tmp_path, body, message):
+        path = tmp_path / "m.csv"
+        path.write_bytes(body)
+        if message is None:
+            assert MetricMatrix.from_csv(path).values.tolist() == [[0.0, 1.5], [1.5, 0.0]]
+        else:
+            with pytest.raises(DataError, match=message):
+                MetricMatrix.from_csv(path)
+
+    def test_csv_infinity_spellings_and_overflow(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("3\n0,+inf,1e400\nInfinity,0,inf\n1e400,inf,0\n")
+        assert np.isposinf(MetricMatrix.from_csv(path).values[~np.eye(3, dtype=bool)]).all()
 
 
 class TestCheckMetric:
