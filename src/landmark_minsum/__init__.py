@@ -17,7 +17,6 @@ from .evaluation import (
     StructureReport,
     VerifyOutcome,
     balanced_k_median,
-    brute_force_optimum,
     classify_points,
     clustering_distance,
     embed_kmeans_baseline,
@@ -85,9 +84,9 @@ __all__ = [
     "SweepResult", "sweep", "stop_bound_from",
     # evaluation
     "ObjectiveValue", "min_sum", "balanced_k_median", "clustering_distance",
-    "brute_force_optimum", "classify_points", "verify_structure",
-    "verify_stability", "embed_kmeans_baseline", "StructureReport",
-    "VerifyOutcome", "StabilityVerdict",
+    "classify_points", "verify_structure", "verify_stability",
+    "embed_kmeans_baseline", "StructureReport", "VerifyOutcome",
+    "StabilityVerdict",
     # instance generation
     "InstanceSpec", "Instance", "generate", "generate_adversarial",
     "plant_landmarks", "ideal_threshold", "save_bundle", "load_bundle",

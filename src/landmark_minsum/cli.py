@@ -22,6 +22,7 @@ from .errors import (
     SweepFailure,
 )
 from .evaluation import (
+    DEFAULT_BRUTE_CAP,
     balanced_k_median,
     classify_points,
     clustering_distance,
@@ -35,6 +36,7 @@ from .generate import (
     InstanceSpec,
     generate,
     load_bundle,
+    read_target_labels,
     save_bundle,
 )
 from .landmark import (
@@ -48,17 +50,25 @@ from .landmark import (
     threshold_from_opt,
 )
 from .metric import (
+    SYMMETRIZE_POLICIES,
     MatrixDistanceSource,
     MetricMatrix,
     QueryLedger,
     check_metric,
     ingest_similarity,
-    read_labels_csv,
     read_pair_file,
 )
 from .sweep import stop_bound_from, sweep
 
 SEED_ENV_VAR = "LANDMARK_MINSUM_SEED"
+
+# the first class in an error's MRO that appears here gives the exit code
+_EXIT_CODES = {
+    SweepFailure: 4,
+    ParameterError: 2,
+    DataError: 3,
+    LandmarkMinsumError: 3,
+}
 
 
 def _resolve_seed(args) -> int:
@@ -122,17 +132,6 @@ def _load_clustering_json(path) -> Clustering:
     with open(path) as fh:
         data = json.load(fh)
     return Clustering.from_dict(data)
-
-
-def _clustering_from_labels_file(path, n: int) -> Clustering:
-    labels = read_labels_csv(path)
-    missing = [i for i in range(n) if i not in labels]
-    if missing:
-        raise DataError(f"label file misses point {missing[0]}")
-    lab_list = [labels[i] for i in range(n)]
-    if all(v.lstrip("-").isdigit() for v in lab_list):
-        lab_list = [int(v) for v in lab_list]
-    return Clustering.from_labels(lab_list, n=n)
 
 
 def cmd_generate(args) -> dict:
@@ -268,7 +267,7 @@ def cmd_evaluate(args) -> dict:
     if args.against:
         other = _load_clustering_json(args.against)
     elif args.labels:
-        other = _clustering_from_labels_file(args.labels, clustering.n)
+        other = read_target_labels(args.labels, clustering.n)
     else:
         raise ParameterError("evaluate needs --against or --labels")
     out: dict = {
@@ -292,7 +291,7 @@ def cmd_verify(args) -> dict:
         matrix = _load_matrix(args)
         if not args.labels:
             raise ParameterError("verify needs a bundle dir or --labels")
-        target = _clustering_from_labels_file(args.labels, matrix.n)
+        target = read_target_labels(args.labels, matrix.n)
         stability = None
     override = _stability_from(args)
     if override is not None:
@@ -363,7 +362,7 @@ def _add_matrix_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=False, help="matrix CSV or pair TSV")
     p.add_argument("--input-kind", choices=["auto", "matrix", "pairs"],
                    default="auto")
-    p.add_argument("--policy", choices=["min_distance", "max_distance", "mean"],
+    p.add_argument("--policy", choices=SYMMETRIZE_POLICIES,
                    default="min_distance", help="pair symmetrization policy")
 
 
@@ -444,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_input(p)
     p.add_argument("--labels", default=None, help="target label CSV")
     p.add_argument("--check-stability", action="store_true")
-    p.add_argument("--brute-cap", type=int, default=12)
+    p.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
     _add_stability(p)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ingest", help="similarity TSV -> distance matrix CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--policy", choices=["min_distance", "max_distance", "mean"],
+    p.add_argument("--policy", choices=SYMMETRIZE_POLICIES,
                    default="min_distance")
     p.add_argument("--ids-output", default=None)
     _add_common(p)
@@ -473,18 +472,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.func(args)
-    except SweepFailure as exc:
-        sys.stderr.write(json.dumps(_error_payload(exc)) + "\n")
-        return 4
-    except ParameterError as exc:
-        sys.stderr.write(json.dumps(_error_payload(exc)) + "\n")
-        return 2
-    except DataError as exc:
-        sys.stderr.write(json.dumps(_error_payload(exc)) + "\n")
-        return 3
     except LandmarkMinsumError as exc:
         sys.stderr.write(json.dumps(_error_payload(exc)) + "\n")
-        return 3
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
     _emit(payload, args)
     return 0
 

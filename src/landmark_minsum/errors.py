@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: ParameterError -> 2, DataError -> 3,
-SweepFailure -> 4.
+The CLI maps them to exit codes in `cli._EXIT_CODES`: ParameterError -> 2,
+DataError -> 3, SweepFailure -> 4.
 """
 
 

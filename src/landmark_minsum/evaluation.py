@@ -1,4 +1,4 @@
-"""Objectives, clustering distance, exact oracles and structure checks.
+"""Objectives, clustering distance, and structure and stability checks.
 
 The min-sum objective sums intra-cluster distances over unordered pairs;
 the balanced variant weights each cluster's best-median distance sum by the
@@ -34,6 +34,33 @@ def _require_partition(c: Clustering, m: MetricMatrix) -> None:
         raise DataError("clustering has unassigned points")
 
 
+def _min_sum_of(clusters: list[list[int]], d: np.ndarray) -> ObjectiveValue:
+    total = 0.0
+    for members in clusters:
+        if len(members) > 1:
+            total += float(d[np.ix_(members, members)].sum()) / 2.0
+    return ObjectiveValue("min_sum", total)
+
+
+def _balanced_k_median_of(
+    clusters: list[list[int]], d: np.ndarray
+) -> ObjectiveValue:
+    total = 0.0
+    medians: list[int | None] = []
+    for members in clusters:
+        if not members:
+            medians.append(None)
+            continue
+        sums = d[np.ix_(members, members)].sum(axis=0)
+        best = int(np.argmin(sums))  # first minimum = lowest point index
+        medians.append(members[best])
+        total += len(members) * float(sums[best])
+    return ObjectiveValue("balanced_k_median", total, medians)
+
+
+_OBJECTIVES = {"min_sum": _min_sum_of, "balanced_k_median": _balanced_k_median_of}
+
+
 def min_sum(c: Clustering, m: MetricMatrix) -> ObjectiveValue:
     """Sum of intra-cluster distances over unordered pairs.
 
@@ -41,34 +68,13 @@ def min_sum(c: Clustering, m: MetricMatrix) -> ObjectiveValue:
     than raising.
     """
     _require_partition(c, m)
-    total = 0.0
-    for members in c.clusters:
-        if len(members) > 1:
-            sub = m.values[np.ix_(members, members)]
-            total += float(sub.sum()) / 2.0
-    return ObjectiveValue("min_sum", total)
-
-
-def _best_median(sub: np.ndarray) -> tuple[int, float]:
-    sums = sub.sum(axis=0)
-    best = int(np.argmin(sums))  # first minimum = lowest point index
-    return best, float(sums[best])
+    return _min_sum_of(c.clusters, m.values)
 
 
 def balanced_k_median(c: Clustering, m: MetricMatrix) -> ObjectiveValue:
     """Per cluster: size times the distance sum to the best in-cluster median."""
     _require_partition(c, m)
-    total = 0.0
-    medians: list[int | None] = []
-    for members in c.clusters:
-        if not members:
-            medians.append(None)
-            continue
-        sub = m.values[np.ix_(members, members)]
-        best, best_sum = _best_median(sub)
-        medians.append(members[best])
-        total += len(members) * best_sum
-    return ObjectiveValue("balanced_k_median", total, medians)
+    return _balanced_k_median_of(c.clusters, m.values)
 
 
 def _labels_distance(lab1: np.ndarray, lab2: np.ndarray, k: int, n: int) -> float:
@@ -103,7 +109,7 @@ def partitions_upto_k(n: int, k: int):
 
     Yields restricted-growth label tuples in lexicographic order (blocks
     numbered by first appearance), which doubles as the deterministic
-    tie-break encoding for the brute-force optimizer.
+    tie-break order of the exhaustive walks.
     """
     if n == 0:
         yield ()
@@ -122,68 +128,12 @@ def partitions_upto_k(n: int, k: int):
     yield from rec(1, 0)
 
 
-def _psi_of_labels(labels, k: int, d: np.ndarray) -> float:
-    members_by = [[] for _ in range(k)]
+def _members(labels, k: int) -> list[list[int]]:
+    """Member lists, in label order, of a label tuple over 0..k-1."""
+    clusters: list[list[int]] = [[] for _ in range(k)]
     for p, lab in enumerate(labels):
-        members_by[lab].append(p)
-    total = 0.0
-    for members in members_by:
-        if members:
-            sub = d[np.ix_(members, members)]
-            total += len(members) * float(sub.sum(axis=0).min())
-    return total
-
-
-def _phi_of_labels(labels, k: int, d: np.ndarray) -> float:
-    members_by = [[] for _ in range(k)]
-    for p, lab in enumerate(labels):
-        members_by[lab].append(p)
-    total = 0.0
-    for members in members_by:
-        if len(members) > 1:
-            total += float(d[np.ix_(members, members)].sum()) / 2.0
-    return total
-
-
-_OBJECTIVES = {"min_sum": _phi_of_labels, "balanced_k_median": _psi_of_labels}
-
-
-def brute_force_optimum(
-    m: MetricMatrix,
-    k: int,
-    objective: str = "balanced_k_median",
-    cap: int = DEFAULT_BRUTE_CAP,
-) -> tuple[Clustering, ObjectiveValue]:
-    """Exhaustive global optimum over all partitions into <= k blocks.
-
-    Refuses instances larger than `cap` outright (Bell-number growth);
-    ties resolve to the lexicographically first restricted-growth encoding.
-    """
-    n = m.n
-    if n > cap:
-        raise ParameterError(
-            f"brute force refused: n={n} exceeds cap {cap} (raise cap explicitly)"
-        )
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if objective not in _OBJECTIVES:
-        raise ParameterError(f"unknown objective {objective!r}")
-    score = _OBJECTIVES[objective]
-    d = m.values
-    best_val = math.inf
-    best_labels = None
-    for labels in partitions_upto_k(n, k):
-        val = score(labels, k, d)
-        if val < best_val:
-            best_val = val
-            best_labels = labels
-    clusters = [[] for _ in range(k)]
-    for p, lab in enumerate(best_labels):
         clusters[lab].append(p)
-    best = Clustering(n=n, clusters=clusters)
-    if objective == "balanced_k_median":
-        return best, balanced_k_median(best, m)
-    return best, min_sum(best, m)
+    return clusters
 
 
 @dataclass
@@ -205,10 +155,7 @@ class StructureReport:
     second_weight_floor: float
     separation_numerator: float
     single_cluster: bool = False
-    part1_ok: bool | None = None
-    part2_ok: bool | None = None
-    part3_ok: bool | None = None
-    witnesses: dict = field(default_factory=dict)
+    outcome: VerifyOutcome | None = None  # set by verify_structure
 
     @property
     def bad_point_budget(self) -> float:
@@ -216,6 +163,8 @@ class StructureReport:
         return (2.0 + 120.0 / p.alpha) * p.epsilon * self.n
 
     def to_dict(self):
+        # an unverified report prints null parts and no witnesses
+        outcome = self.outcome or VerifyOutcome(None, None, None)
         return {
             "n": self.n,
             "params": self.params.to_dict(),
@@ -226,11 +175,11 @@ class StructureReport:
             "cluster_sizes": self.cluster_sizes,
             "single_cluster": self.single_cluster,
             "structure": {
-                "part1": self.part1_ok,
-                "part2": self.part2_ok,
-                "part3": self.part3_ok,
+                "part1": outcome.part1,
+                "part2": outcome.part2,
+                "part3": outcome.part3,
             },
-            "witnesses": self.witnesses,
+            "witnesses": outcome.witnesses,
         }
 
 
@@ -365,9 +314,8 @@ def verify_structure(report: StructureReport, m: MetricMatrix) -> VerifyOutcome:
             "b_observed": report.b_observed,
             "budget": budget,
         }
-    report.part1_ok, report.part2_ok, report.part3_ok = part1, part2, part3
-    report.witnesses = witnesses
-    return VerifyOutcome(part1, part2, part3, witnesses)
+    report.outcome = VerifyOutcome(part1, part2, part3, witnesses)
+    return report.outcome
 
 
 @dataclass
@@ -408,29 +356,29 @@ def verify_stability(
     _require_partition(target, m)
     score = _OBJECTIVES[objective]
     d = m.values
-    opt = math.inf
-    for labels in partitions_upto_k(n, k):
-        val = score(labels, k, d)
-        if val < opt:
-            opt = val
-    limit = (1.0 + params.alpha) * opt
+    # one score per partition (8 bytes each), then a replay of the walk
+    # beside them: the first partition within the limit and too far from
+    # the target is the counterexample
+    scores = np.fromiter(
+        (score(_members(labels, k), d).value
+         for labels in partitions_upto_k(n, k)),
+        dtype=np.float64,
+    )
+    opt = float(scores.min())
+    within = scores <= (1.0 + params.alpha) * opt
     kk = max(k, target.k)
     target_labels = target.labels()
-    for labels in partitions_upto_k(n, k):
-        val = score(labels, k, d)
-        if val <= limit:
+    for i, labels in enumerate(partitions_upto_k(n, k)):
+        if within[i]:
             dist = _labels_distance(
                 np.asarray(labels, dtype=np.int64), target_labels, kk, n
             )
             if not dist < params.epsilon:
-                clusters = [[] for _ in range(k)]
-                for p, lab in enumerate(labels):
-                    clusters[lab].append(p)
                 return StabilityVerdict(
                     holds=False,
                     optimum=opt,
-                    counterexample=Clustering(n=n, clusters=clusters),
-                    counterexample_value=val,
+                    counterexample=Clustering(n=n, clusters=_members(labels, k)),
+                    counterexample_value=float(scores[i]),
                     counterexample_distance=dist,
                 )
     return StabilityVerdict(holds=True, optimum=opt)

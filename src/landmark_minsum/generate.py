@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, ParameterError
+from .errors import DataError, GenerationError, ParameterError
 from .evaluation import balanced_k_median
 from .landmark import Clustering, StabilityParams
 from .metric import MetricMatrix, read_labels_csv, write_labels_csv
@@ -340,14 +340,29 @@ def save_bundle(inst: Instance, directory) -> None:
         json.dump(meta, fh, indent=2)
 
 
+def read_target_labels(path, n: int) -> Clustering:
+    """The clustering a `point_id,cluster_label` file gives points 0..n-1.
+
+    Every point must have a label and no id may lie outside [0, n).
+    All-integer labels order the clusters numerically.
+    """
+    labels = read_labels_csv(path)
+    outside = sorted(p for p in labels if not 0 <= p < n)
+    if outside:
+        raise DataError(f"{path}: point id {outside[0]} outside [0,{n})")
+    missing = [i for i in range(n) if i not in labels]
+    if missing:
+        raise DataError(f"{path}: label file misses point {missing[0]}")
+    lab_list = [labels[i] for i in range(n)]
+    if all(v.lstrip("-").isdigit() for v in lab_list):
+        lab_list = [int(v) for v in lab_list]
+    return Clustering.from_labels(lab_list, n=n)
+
+
 def load_bundle(directory) -> Instance:
     directory = Path(directory)
     matrix = MetricMatrix.from_csv(directory / "matrix.csv")
-    labels = read_labels_csv(directory / "labels.csv")
-    lab_list = [labels[i] for i in range(matrix.n)]
-    if all(v.lstrip("-").isdigit() for v in lab_list):
-        lab_list = [int(v) for v in lab_list]  # keep numeric cluster order
-    target = Clustering.from_labels(lab_list, n=matrix.n)
+    target = read_target_labels(directory / "labels.csv", matrix.n)
     meta_path = directory / "instance.json"
     spec = None
     stability = None

@@ -236,12 +236,13 @@ class MetricReport:
 _TRIANGLE_REL_TOL = 1e-12
 
 
-def _triple_violations(d: np.ndarray, i, j, k, tol: float):
+def _triple_violations(d: np.ndarray, i, j, k):
     """Yield orientations (a,b,c) of one triple with d(a,c) > d(a,b)+d(b,c)."""
     for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):
         lhs = d[a, c]
         rhs = d[a, b] + d[b, c]
-        if np.isfinite(lhs) and np.isfinite(rhs) and lhs > rhs + tol * rhs:
+        finite = np.isfinite(lhs) and np.isfinite(rhs)
+        if finite and lhs > rhs + _TRIANGLE_REL_TOL * rhs:
             yield (int(a), int(b), int(c))
 
 
@@ -250,8 +251,6 @@ def check_metric(
     mode: str = "exhaustive",
     sample_triples: int = 10_000,
     seed: int = 0,
-    max_violations: int | None = None,
-    tol: float = _TRIANGLE_REL_TOL,
 ) -> MetricReport:
     """Audit the triangle inequality over finite entries.
 
@@ -269,7 +268,7 @@ def check_metric(
         for j in range(n):
             # via-j sums for all (i, k); each unordered triple reported once
             rhs = d[:, j][:, None] + d[j, :][None, :]
-            bad = (d > rhs + tol * rhs) & finite & np.isfinite(rhs)
+            bad = (d > rhs + _TRIANGLE_REL_TOL * rhs) & finite & np.isfinite(rhs)
             bad[j, :] = False
             bad[:, j] = False
             if bad.any():
@@ -279,8 +278,6 @@ def check_metric(
                         continue
                     seen.add(key)
                     violations.append((int(i), int(j), int(k)))
-                    if max_violations and len(violations) >= max_violations:
-                        return MetricReport(n, mode, checked, violations)
     elif mode == "sampled":
         if n < 3:
             return MetricReport(n, mode, 0, [])
@@ -289,7 +286,7 @@ def check_metric(
         seen = set()
         for _ in range(sample_triples):
             i, j, k = rng.choice(n, size=3, replace=False)
-            for witness in _triple_violations(d, i, j, k, tol):
+            for witness in _triple_violations(d, i, j, k):
                 key = tuple(sorted(witness))
                 if key not in seen:
                     seen.add(key)

@@ -5,7 +5,11 @@ and `candidate_sweep` reruns the clustering once per product in ascending
 order, the threshold walk `landmark_minsum.sweep` shortcuts by jumping
 between fired products.  `conceptual_cluster_min_sum` restates the pair
 stream sweep of `cluster_min_sum` over continuous radii, and `emit_pairs`
-inverts `ingest_similarity`.
+inverts `ingest_similarity`.  `brute_force_optimum` and
+`two_pass_verify_stability` score every partition through the public
+objectives; the second walks the partitions twice, once for the optimum and
+once for the first counterexample, where `verify_stability` scores each
+partition once and replays the walk.
 """
 
 from __future__ import annotations
@@ -17,13 +21,22 @@ from landmark_minsum import (
     DataError,
     LandmarkTable,
     MetricMatrix,
+    ObjectiveValue,
     ParameterError,
+    StabilityParams,
+    StabilityVerdict,
     SweepFailure,
     SweepResult,
     assign_remainder,
+    balanced_k_median,
     cluster_min_sum,
+    clustering_distance,
+    min_sum,
 )
+from landmark_minsum.evaluation import DEFAULT_BRUTE_CAP, partitions_upto_k
 from landmark_minsum.landmark import _validate_run
+
+OBJECTIVES = {"min_sum": min_sum, "balanced_k_median": balanced_k_median}
 
 
 def enumerate_thresholds(table: LandmarkTable, n: int | None = None) -> np.ndarray:
@@ -194,3 +207,55 @@ def emit_pairs(m: MetricMatrix):
             d = m.values[a, b]
             if np.isfinite(d) and d > 0:
                 yield (a, b, 1.0 / d)
+
+
+def brute_force_optimum(
+    m: MetricMatrix,
+    k: int,
+    objective: str = "balanced_k_median",
+    cap: int = DEFAULT_BRUTE_CAP,
+) -> tuple[Clustering, ObjectiveValue]:
+    """Exhaustive global optimum over all partitions into <= k blocks.
+
+    Refuses instances larger than `cap` outright (Bell-number growth);
+    ties resolve to the lexicographically first restricted-growth encoding.
+    """
+    n = m.n
+    if n > cap:
+        raise ParameterError(
+            f"brute force refused: n={n} exceeds cap {cap} (raise cap explicitly)"
+        )
+    if not 1 <= k <= n:
+        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+    score = OBJECTIVES[objective]
+    best = None
+    for labels in partitions_upto_k(n, k):
+        c = Clustering.from_labels(labels, n=n, k=k)
+        val = score(c, m)
+        if best is None or val.value < best[1].value:
+            best = (c, val)
+    return best
+
+
+def two_pass_verify_stability(
+    m: MetricMatrix,
+    target: Clustering,
+    k: int,
+    params: StabilityParams,
+    objective: str = "balanced_k_median",
+) -> StabilityVerdict:
+    """The stability check as two full walks: the optimum first, then the
+    first partition within (1 + alpha) of it and epsilon or more away from
+    the target."""
+    n = m.n
+    _, best = brute_force_optimum(m, k, objective, cap=n)
+    opt = best.value
+    limit = (1.0 + params.alpha) * opt
+    for labels in partitions_upto_k(n, k):
+        c = Clustering.from_labels(labels, n=n, k=k)
+        val = OBJECTIVES[objective](c, m).value
+        if val <= limit:
+            dist = clustering_distance(c, target)
+            if not dist < params.epsilon:
+                return StabilityVerdict(False, opt, c, val, dist)
+    return StabilityVerdict(True, opt)

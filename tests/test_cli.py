@@ -186,6 +186,28 @@ class TestSweepCommand:
         assert len(payload["candidates_tried"]) == payload["runs_executed"]
 
 
+    def test_sweep_failure_exits_4_with_best_run(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from landmark_minsum import SweepFailure, cli
+
+        def failing(args):
+            raise SweepFailure("no run covered", best_threshold=2.5,
+                               best_coverage=7)
+
+        monkeypatch.setattr(cli, "cmd_sweep", failing)
+        path = write_matrix(tmp_path, random_metric(10, 2, seed=8))
+        code, _, err = run_cli(
+            capsys, "sweep", "--input", path, "--k", "2", "--landmarks", "3",
+            "--stop-bound", "0",
+        )
+        assert code == 4
+        payload = json.loads(err)
+        assert payload["error"] == "SweepFailure"
+        assert payload["best_threshold"] == 2.5
+        assert payload["best_coverage"] == 7
+
+
 class TestBaselineCommand:
     def test_baseline_runs(self, capsys, bundle_dir):
         out, _ = bundle_dir
@@ -247,6 +269,37 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(stdout)["stability_holds"] is True
+
+    def test_bundle_label_file_missing_point_is_data_error(
+        self, capsys, bundle_dir
+    ):
+        out, inst = bundle_dir
+        labels = out / "labels.csv"
+        lines = labels.read_text().splitlines()
+        labels.write_text("\n".join(l for l in lines if not l.startswith("7,")))
+        code, _, err = run_cli(capsys, "verify", "--input", str(out))
+        assert code == 3
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert "misses point 7" in payload["message"]
+
+    @pytest.mark.parametrize("extra", ["99,5", "-1,0"])
+    def test_labels_id_out_of_range_is_data_error(self, capsys, tmp_path, extra):
+        path = write_matrix(tmp_path, random_metric(8, 2, seed=12))
+        labels = tmp_path / "labels.csv"
+        labels.write_text(
+            "point_id,cluster_label\n"
+            + "\n".join(f"{i},{i % 2}" for i in range(8))
+            + f"\n{extra}\n"
+        )
+        code, _, err = run_cli(
+            capsys, "verify", "--input", path, "--labels", str(labels),
+            "--alpha", "1.0", "--epsilon", "0.1",
+        )
+        assert code == 3
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert "outside [0,8)" in payload["message"]
 
     def test_needs_stability_parameters(self, capsys, tmp_path):
         m = random_metric(8, 2, seed=12)

@@ -15,7 +15,6 @@ from landmark_minsum import (
     QueryLedger,
     StabilityParams,
     balanced_k_median,
-    brute_force_optimum,
     classify_points,
     clustering_distance,
     embed_kmeans_baseline,
@@ -26,6 +25,7 @@ from landmark_minsum import (
     verify_stability,
     verify_structure,
 )
+from landmark_minsum import evaluation
 from landmark_minsum.evaluation import partitions_upto_k
 
 from conftest import (
@@ -35,6 +35,7 @@ from conftest import (
     random_partition,
     random_symmetric,
 )
+from oracles import brute_force_optimum, two_pass_verify_stability
 
 
 class TestMinSum:
@@ -285,6 +286,90 @@ class TestVerifyStability:
         target = Clustering(n=13, clusters=[list(range(13))])
         with pytest.raises(ParameterError):
             verify_stability(m, target, 2, StabilityParams(1.0, 0.1))
+
+
+def stirling_partition_count(n: int, k: int) -> int:
+    """Sum over j <= k of S(n, j), by S(i, j) = j S(i-1, j) + S(i-1, j-1)."""
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return sum(row)
+
+
+@st.composite
+def small_metrics(draw):
+    """Metrics on n <= 8 points: L1 distances on a 4 x 4 integer grid (ties
+    and duplicate points), a few sites repeated, two components at +inf
+    distance, or the uniform adversarial metric."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["grid", "duplicates", "inf", "uniform"]))
+    if kind == "uniform":
+        return generate_adversarial("uniform", n=n, k=1).matrix
+    site = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    if kind == "duplicates":
+        sites = draw(st.lists(site, min_size=1, max_size=3))
+        pts = [sites[i % len(sites)] for i in range(n)]
+    else:
+        pts = draw(st.lists(site, min_size=n, max_size=n))
+    xy = np.asarray(pts, dtype=np.float64)
+    d = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
+    if kind == "inf":
+        cut = draw(st.integers(0, n))
+        d[:cut, cut:] = d[cut:, :cut] = math.inf
+    return MetricMatrix(d)
+
+
+class TestSingleWalkMatchesTwoPass:
+    """`verify_stability` scores each partition once and replays the walk;
+    the oracle walks twice and scores through the public objectives."""
+
+    @staticmethod
+    def check(m, target, k, params, objective):
+        want = two_pass_verify_stability(m, target, k, params, objective)
+        calls = []
+        score = evaluation._OBJECTIVES[objective]
+
+        def counted(clusters, d):
+            calls.append(1)
+            return score(clusters, d)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(evaluation._OBJECTIVES, objective, counted)
+            got = verify_stability(m, target, k, params, objective=objective)
+        assert len(calls) == stirling_partition_count(m.n, k)
+        assert got.holds == want.holds
+        assert got.optimum == want.optimum
+        if want.holds:
+            assert got.counterexample is None
+        else:
+            assert got.counterexample.clusters == want.counterexample.clusters
+            assert got.counterexample_value == want.counterexample_value
+            assert got.counterexample_distance == want.counterexample_distance
+        return got
+
+    @given(
+        small_metrics(),
+        st.data(),
+        st.sampled_from(["min_sum", "balanced_k_median"]),
+        st.sampled_from([0.1, 0.5, 1.0, 4.0]),
+        st.sampled_from([0.01, 0.2, 0.34, 0.5, 0.99]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_two_pass_oracle(self, m, data, objective, alpha, epsilon):
+        n = m.n
+        k = data.draw(st.integers(1, n))
+        labels = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+        )
+        target = Clustering.from_labels(labels, n=n)
+        params = StabilityParams(alpha=alpha, epsilon=epsilon)
+        self.check(m, target, k, params, objective)
+
+    def test_uniform_control(self):
+        inst = generate_adversarial("uniform", n=9, k=2, seed=0)
+        params = StabilityParams(alpha=1.0, epsilon=0.2)
+        got = self.check(inst.matrix, inst.target, 2, params, "balanced_k_median")
+        assert not got.holds
 
 
 class TestObjectiveSandwich:
