@@ -9,7 +9,6 @@ from .errors import (
     InvariantViolation,
     LandmarkMinsumError,
     ParameterError,
-    SweepFailure,
 )
 from .evaluation import (
     ObjectiveValue,
@@ -70,7 +69,6 @@ __all__ = [
     # errors
     "LandmarkMinsumError", "ParameterError", "DataError",
     "BudgetExhaustedError", "GenerationError", "InvariantViolation",
-    "SweepFailure",
     # metric core
     "QueryLedger", "DistanceSource", "MatrixDistanceSource",
     "PointCloudDistanceSource", "MetricMatrix", "MetricReport",

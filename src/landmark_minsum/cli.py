@@ -1,7 +1,7 @@
 """Command-line surface: generate / cluster / sweep / baseline / evaluate /
 verify / ingest, with JSON artifacts and machine-readable errors.
 
-Exit codes: 0 success, 2 parameter error, 3 data error, 4 sweep failure.
+Exit codes: 0 success, 2 parameter error, 3 data error.
 Every artifact embeds the seed, the parameters and the tool version so a
 run can be reproduced byte-for-byte.
 """
@@ -15,12 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    DataError,
-    LandmarkMinsumError,
-    ParameterError,
-    SweepFailure,
-)
+from .errors import DataError, LandmarkMinsumError, ParameterError
 from .evaluation import (
     DEFAULT_BRUTE_CAP,
     balanced_k_median,
@@ -64,7 +59,6 @@ SEED_ENV_VAR = "LANDMARK_MINSUM_SEED"
 
 # the first class in an error's MRO that appears here gives the exit code
 _EXIT_CODES = {
-    SweepFailure: 4,
     ParameterError: 2,
     DataError: 3,
     LandmarkMinsumError: 3,
@@ -97,12 +91,9 @@ def _load_matrix(args) -> MetricMatrix:
     path = args.input
     if path is None:
         raise ParameterError("--input is required")
-    kind = getattr(args, "input_kind", "auto")
-    if kind == "auto":
-        with open(path) as fh:
-            first = fh.readline().strip()
-        kind = "matrix" if first.isdigit() else "pairs"
-    if kind == "matrix":
+    with open(path) as fh:
+        first = fh.readline().strip()
+    if first.isdigit():  # a matrix CSV starts with its point count
         return MetricMatrix.from_csv(path)
     pairs, _labels = read_pair_file(path)
     return ingest_similarity(pairs, policy=getattr(args, "policy", "min_distance"))
@@ -360,8 +351,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_matrix_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=False, help="matrix CSV or pair TSV")
-    p.add_argument("--input-kind", choices=["auto", "matrix", "pairs"],
-                   default="auto")
     p.add_argument("--policy", choices=SYMMETRIZE_POLICIES,
                    default="min_distance", help="pair symmetrization policy")
 
@@ -459,21 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(exc: Exception) -> dict:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, SweepFailure):
-        payload["best_threshold"] = exc.best_threshold
-        payload["best_coverage"] = exc.best_coverage
-    return payload
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         payload = args.func(args)
     except LandmarkMinsumError as exc:
-        sys.stderr.write(json.dumps(_error_payload(exc)) + "\n")
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(json.dumps(error) + "\n")
         return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
     _emit(payload, args)
     return 0

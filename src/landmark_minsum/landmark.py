@@ -87,7 +87,8 @@ class LandmarkTable:
 
     Pairs are sorted by (distance, landmark position, point id); +inf
     distances land at the end.  Immutable once built; the Python-list view
-    of the stream is cached for reuse across runs.
+    of the stream's finite part, the only part a run consumes, is cached
+    for reuse across runs.
     """
 
     def __init__(self, landmark_ids, rows, pair_landmark, pair_point, pair_dist, n):
@@ -109,10 +110,11 @@ class LandmarkTable:
 
     def pair_lists(self):
         if self._lists is None:
+            finite = int(np.searchsorted(self.pair_dist, INF))
             self._lists = (
-                self.pair_landmark.tolist(),
-                self.pair_point.tolist(),
-                self.pair_dist.tolist(),
+                self.pair_landmark[:finite].tolist(),
+                self.pair_point[:finite].tolist(),
+                self.pair_dist[:finite].tolist(),
             )
         return self._lists
 
@@ -238,35 +240,34 @@ def _validate_run(n: int, k: int, threshold: float) -> None:
         raise ParameterError(f"threshold must be positive, got {threshold}")
 
 
-def cluster_min_sum(
-    table: LandmarkTable,
-    k: int,
-    threshold: float,
-    trace: list | None = None,
-) -> Clustering:
+def cluster_min_sum(table: LandmarkTable, k: int, threshold: float) -> Clustering:
     """Run the sorted-pair ball-growing sweep and emit up to k clusters.
 
-    Pairs are consumed in ascending distance order, skipping any pair whose
-    landmark or point is already clustered.  All pairs at one distance are
-    inserted before the extraction test fires; the test compares the largest
-    active ball against T / r2 where r2 is the next active pair distance.
-    Extraction merges every active ball overlapping the largest one.  If the
-    stream (or its finite part) is exhausted first, the remaining points
-    become the final cluster.  Fewer than k non-empty clusters are padded
-    with empty ones under a warning.
+    Pairs are consumed in ascending distance order.  A pair is dead once its
+    point or its landmark is clustered, and dead pairs are skipped.  Before a
+    live pair is inserted into its landmark's ball, the test
+    `max_size * r > T` runs at its distance r if that distance differs from
+    the last inserted pair's, or if an extraction happened since that
+    insertion; `max_size` is the largest active ball.  While the test holds
+    and fewer than k clusters exist, the largest ball (lowest landmark
+    position on ties) fires: every active ball overlapping it merges into
+    one extracted cluster.  If an extraction kills the current pair, the
+    re-test moves on to the next live pair.  If the finite part of the
+    stream runs out before k clusters exist, the remaining points become
+    one more cluster.  Fewer than k clusters are padded with empty ones
+    under a warning.
     """
-    return _stream_min_sum(table, k, threshold, trace)[0]
+    return _stream_min_sum(table, k, threshold)[0]
 
 
 def _stream_min_sum(
     table: LandmarkTable,
     k: int,
     threshold: float,
-    trace: list | None = None,
 ) -> tuple[Clustering, float]:
-    """`cluster_min_sum` plus the smallest product max_size * r2 that fired.
+    """`cluster_min_sum` plus the smallest product max_size * r that fired.
 
-    The run depends on T only through its tests `max_size * r2 > T`, so
+    The run depends on T only through its tests `max_size * r > T`, so
     every threshold in [T, smallest fired product) gives the same run; the
     product is +inf when no test fired.
     """
@@ -276,110 +277,69 @@ def _stream_min_sum(
         raise ParameterError("landmark table has no pairs")
     T = float(threshold)
 
-    l_arr, p_arr, d_arr = table.pair_lists()
-    total = table.pair_count
     n_prime = table.n_prime
     pos_by_point = {pid: j for j, pid in enumerate(table.landmark_ids)}
 
     clustered = bytearray(n)
     alive = [True] * n_prime
     balls: list[set] = [set() for _ in range(n_prime)]
-    sizes = [0] * n_prime
+    sizes = [0] * n_prime  # a dead landmark's ball is empty
     max_size = 0
 
     clusters: list[list[int]] = []
     cluster_landmarks: list[list[int]] = []
-    warnings: list[str] = []
-
-    def emit_remaining() -> None:
-        rest = [s for s in range(n) if not clustered[s]]
-        rest_set = set(rest)
-        for s in rest:
-            clustered[s] = 1
-        clusters.append(rest)
-        cluster_landmarks.append(
-            sorted(pid for pid in table.landmark_ids if pid in rest_set)
-        )
-
-    def extract(best: int) -> None:
-        bstar = balls[best]
-        merged: set = set()
-        for j in range(n_prime):
-            if alive[j] and sizes[j] and not balls[j].isdisjoint(bstar):
-                merged |= balls[j]
-        members = sorted(merged)
-        lmarks = []
-        for s in members:
-            clustered[s] = 1
-            pos = pos_by_point.get(s)
-            if pos is not None:
-                alive[pos] = False
-                lmarks.append(s)
-        clusters.append(members)
-        cluster_landmarks.append(lmarks)
-        for j in range(n_prime):
-            if alive[j] and sizes[j]:
-                balls[j] -= merged
-                sizes[j] = len(balls[j])
-            elif not alive[j]:
-                balls[j] = set()
-                sizes[j] = 0
 
     fired = INF
-    c = 0
-    i = 1
-    while i <= k:
-        # next active pair; skipped pairs stay dead, so the cursor never backs up
-        while c < total and (clustered[p_arr[c]] or not alive[l_arr[c]]):
-            c += 1
-        if c == total or d_arr[c] == INF:
-            emit_remaining()
+    last = None  # distance of the last inserted pair; None after an extraction
+    for li, s, r in zip(*table.pair_lists()):
+        # a pair is live until its point or its landmark is clustered; when
+        # an extraction kills the current pair the re-test moves on to the
+        # next live pair
+        while not clustered[s] and alive[li]:
+            if r != last and max_size * r > T and len(clusters) < k:
+                fired = min(fired, max_size * r)
+                bstar = balls[sizes.index(max_size)]
+                merged: set = set()
+                for ball in balls:
+                    if not ball.isdisjoint(bstar):
+                        merged |= ball
+                members = sorted(merged)
+                lmarks = []
+                for q in members:
+                    clustered[q] = 1
+                    pos = pos_by_point.get(q)
+                    if pos is not None:
+                        alive[pos] = False
+                        lmarks.append(q)
+                clusters.append(members)
+                cluster_landmarks.append(lmarks)
+                for j in range(n_prime):
+                    if alive[j]:
+                        balls[j] -= merged
+                    else:
+                        balls[j].clear()
+                    sizes[j] = len(balls[j])
+                max_size = max(sizes)
+                last = None
+                continue
+            balls[li].add(s)
+            sizes[li] += 1
+            if sizes[li] > max_size:
+                max_size = sizes[li]
+            last = r
             break
-        li = l_arr[c]
-        s = p_arr[c]
-        r1 = d_arr[c]
-        c += 1
-        # peek the distance of the following active pair
-        while c < total and (clustered[p_arr[c]] or not alive[l_arr[c]]):
-            c += 1
-        if c == total or d_arr[c] == INF:
-            emit_remaining()
-            break
-        r2 = d_arr[c]
-        balls[li].add(s)
-        sizes[li] += 1
-        if sizes[li] > max_size:
-            max_size = sizes[li]
-        if r1 == r2:
-            continue  # equal-distance batch still open: insert before testing
-        if trace is not None:
-            trace.append(("test", r2, max_size))
-        while i <= k and max_size * r2 > T:
-            fired = min(fired, max_size * r2)
-            best = -1
-            best_size = 0
-            for j in range(n_prime):
-                if alive[j] and sizes[j] > best_size:
-                    best_size = sizes[j]
-                    best = j
-            extract(best)
-            max_size = max(
-                (sizes[j] for j in range(n_prime) if alive[j]), default=0
-            )
-            i += 1
-            # the extraction may have killed every pair at the peeked
-            # distance; the next relevant radius is the nearest surviving
-            # pair, so refresh r2 before re-testing (keeps the discrete
-            # sweep aligned with the continuous one across dead gaps)
-            while c < total and (clustered[p_arr[c]] or not alive[l_arr[c]]):
-                c += 1
-            if c == total or d_arr[c] == INF:
-                break  # outer loop will report the remaining points
-            r2 = d_arr[c]
-            if trace is not None:
-                trace.append(("test", r2, max_size))
+        if len(clusters) == k:
+            break  # nothing more can be extracted
 
     unassigned = [s for s in range(n) if not clustered[s]]
+    if len(clusters) < k:
+        # the finite stream ran out first: the points left form one cluster
+        clusters.append(unassigned)
+        cluster_landmarks.append(
+            sorted(pid for pid in table.landmark_ids if not clustered[pid])
+        )
+        unassigned = []
+    warnings: list[str] = []
     if len(clusters) < k:
         warnings.append(f"padded_empty_clusters:{k - len(clusters)}")
         while len(clusters) < k:

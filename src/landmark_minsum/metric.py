@@ -392,11 +392,10 @@ def _label_sort_key(label: str):
         return (1, 0, label)
 
 
-def write_labels_csv(path, labels_by_point, header: bool = True) -> None:
-    """Write the `point_id,cluster_label` file."""
+def write_labels_csv(path, labels_by_point) -> None:
+    """Write the `point_id,cluster_label` file, header line first."""
     with open(path, "w") as fh:
-        if header:
-            fh.write("point_id,cluster_label\n")
+        fh.write("point_id,cluster_label\n")
         for pid, lab in enumerate(labels_by_point):
             fh.write(f"{pid},{lab}\n")
 

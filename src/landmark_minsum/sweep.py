@@ -13,12 +13,11 @@ without any further distance queries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParameterError, SweepFailure
+from .errors import DataError, ParameterError
 from .landmark import (
     Clustering,
     LandmarkTable,
@@ -78,18 +77,14 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
         raise ParameterError(f"need 0 <= b < n, got b={stop_bound_b}, n={n}")
     needed = n - stop_bound_b
     coverage: list[tuple[float, int]] = []
-    best_cov = -1
-    best_t = None
-    best_run = None
     t = float(positive.min())
-    # the smallest fired product exceeds t, so t rises strictly; once
-    # nothing fires the run clusters every point and the walk stops
-    while t < math.inf:
+    # the smallest fired product exceeds t, so t rises strictly; a run in
+    # which nothing fires (fired is +inf) clusters every point, and the walk
+    # reaches such a run before t becomes +inf, so the loop always returns
+    while True:
         run, fired = _stream_min_sum(table, k, t)
         cov = run.points_clustered()
         coverage.append((t, cov))
-        if cov > best_cov:
-            best_cov, best_t, best_run = cov, t, run
         if cov >= needed:
             final = assign_remainder(run, table)
             return SweepResult(
@@ -101,10 +96,3 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
                 warnings=list(run.warnings),
             )
         t = fired
-    raise SweepFailure(
-        f"no candidate clustered >= {needed} of {n} points "
-        f"(best {best_cov} at T={best_t})",
-        best_threshold=best_t,
-        best_clustering=best_run,
-        best_coverage=best_cov,
-    )

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from landmark_minsum import Clustering, MetricMatrix
+from landmark_minsum import (
+    Clustering,
+    InstanceSpec,
+    MatrixDistanceSource,
+    MetricMatrix,
+    build_landmark_table,
+    generate,
+    plant_landmarks,
+    stop_bound_from,
+)
 
 # ---------------------------------------------------------------------------
 # shared builders
@@ -28,6 +37,22 @@ def random_symmetric(n: int, seed: int, scale: float = 5.0) -> MetricMatrix:
     a = rng.uniform(0.1, scale, size=(n, n))
     upper = np.triu(a, 1)
     return MetricMatrix(upper + upper.T)
+
+
+def criterion_07_case(trial: int):
+    """(table, k, b) of criterion 07's trial: one planted landmark per core,
+    b from the instance's declared stability parameters."""
+    seed = 700 + trial
+    sizes = [(50, 40, 30), (45, 40, 35, 30), (60, 45, 35)][trial % 3]
+    inst = generate(InstanceSpec(
+        sizes=sizes, theta=5.0,
+        bad_fraction=0.01 if trial % 3 == 2 else 0.0, seed=seed,
+    ))
+    table = build_landmark_table(
+        MatrixDistanceSource(inst.matrix),
+        plant_landmarks(inst, per_core=1, seed=seed),
+    )
+    return table, len(sizes), stop_bound_from(inst.stability, inst.n)
 
 
 def random_partition(n: int, k: int, rng) -> Clustering:

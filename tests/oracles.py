@@ -4,8 +4,9 @@
 and `candidate_sweep` reruns the clustering once per product in ascending
 order, the threshold walk `landmark_minsum.sweep` shortcuts by jumping
 between fired products.  `conceptual_cluster_min_sum` restates the pair
-stream sweep of `cluster_min_sum` over continuous radii, and `emit_pairs`
-inverts `ingest_similarity`.  `brute_force_optimum` and
+stream sweep of `cluster_min_sum` over continuous radii, and
+`loop_stream_min_sum` is the cursor-and-peek loop the single-pass kernel
+replaced.  `emit_pairs` inverts `ingest_similarity`.  `brute_force_optimum` and
 `two_pass_verify_stability` score every partition through the public
 objectives; the second walks the partitions twice, once for the optimum and
 once for the first counterexample, where `verify_stability` scores each
@@ -13,6 +14,8 @@ partition once and replays the walk.
 """
 
 from __future__ import annotations
+
+from math import inf as INF
 
 import numpy as np
 
@@ -25,7 +28,6 @@ from landmark_minsum import (
     ParameterError,
     StabilityParams,
     StabilityVerdict,
-    SweepFailure,
     SweepResult,
     assign_remainder,
     balanced_k_median,
@@ -60,15 +62,10 @@ def candidate_sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepRes
         raise ParameterError(f"need 0 <= b < n, got b={stop_bound_b}, n={n}")
     needed = n - stop_bound_b
     coverage: list[tuple[float, int]] = []
-    best_cov = -1
-    best_t = None
-    best_run = None
     for t in candidates.tolist():
         run = cluster_min_sum(table, k, t)
         cov = run.points_clustered()
         coverage.append((t, cov))
-        if cov > best_cov:
-            best_cov, best_t, best_run = cov, t, run
         if cov >= needed:
             return SweepResult(
                 chosen_threshold=t,
@@ -78,13 +75,9 @@ def candidate_sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepRes
                 coverage_per_candidate=coverage,
                 warnings=list(run.warnings),
             )
-    raise SweepFailure(
-        f"no candidate clustered >= {needed} of {n} points "
-        f"(best {best_cov} at T={best_t})",
-        best_threshold=best_t,
-        best_clustering=best_run,
-        best_coverage=best_cov,
-    )
+    # the largest candidate, n * max d, fires nothing, so its run clusters
+    # every point
+    raise AssertionError(f"no candidate clustered >= {needed} of {n} points")
 
 
 def conceptual_cluster_min_sum(
@@ -198,6 +191,142 @@ def conceptual_cluster_min_sum(
         cluster_landmarks=cluster_landmarks,
         warnings=warnings,
     )
+
+
+def loop_stream_min_sum(
+    table: LandmarkTable,
+    k: int,
+    threshold: float,
+) -> tuple[Clustering, float]:
+    """The pair-stream loop that `landmark._stream_min_sum` replaced, kept
+    as its differential oracle: the same clustering and the same smallest
+    fired product `max_size * r2`.
+
+    It walks the full stream with a cursor, peeking the next active pair's
+    distance r2 after each insertion; the test runs only where the peeked
+    distance differs from the inserted one, and after an extraction at the
+    refreshed peek.
+    """
+    n = table.n
+    _validate_run(n, k, threshold)
+    if table.pair_count == 0:
+        raise ParameterError("landmark table has no pairs")
+    T = float(threshold)
+
+    l_arr = table.pair_landmark.tolist()
+    p_arr = table.pair_point.tolist()
+    d_arr = table.pair_dist.tolist()
+    total = table.pair_count
+    n_prime = table.n_prime
+    pos_by_point = {pid: j for j, pid in enumerate(table.landmark_ids)}
+
+    clustered = bytearray(n)
+    alive = [True] * n_prime
+    balls: list[set] = [set() for _ in range(n_prime)]
+    sizes = [0] * n_prime
+    max_size = 0
+
+    clusters: list[list[int]] = []
+    cluster_landmarks: list[list[int]] = []
+    warnings: list[str] = []
+
+    def emit_remaining() -> None:
+        rest = [s for s in range(n) if not clustered[s]]
+        rest_set = set(rest)
+        for s in rest:
+            clustered[s] = 1
+        clusters.append(rest)
+        cluster_landmarks.append(
+            sorted(pid for pid in table.landmark_ids if pid in rest_set)
+        )
+
+    def extract(best: int) -> None:
+        bstar = balls[best]
+        merged: set = set()
+        for j in range(n_prime):
+            if alive[j] and sizes[j] and not balls[j].isdisjoint(bstar):
+                merged |= balls[j]
+        members = sorted(merged)
+        lmarks = []
+        for s in members:
+            clustered[s] = 1
+            pos = pos_by_point.get(s)
+            if pos is not None:
+                alive[pos] = False
+                lmarks.append(s)
+        clusters.append(members)
+        cluster_landmarks.append(lmarks)
+        for j in range(n_prime):
+            if alive[j] and sizes[j]:
+                balls[j] -= merged
+                sizes[j] = len(balls[j])
+            elif not alive[j]:
+                balls[j] = set()
+                sizes[j] = 0
+
+    fired = INF
+    c = 0
+    i = 1
+    while i <= k:
+        # next active pair; skipped pairs stay dead, so the cursor never backs up
+        while c < total and (clustered[p_arr[c]] or not alive[l_arr[c]]):
+            c += 1
+        if c == total or d_arr[c] == INF:
+            emit_remaining()
+            break
+        li = l_arr[c]
+        s = p_arr[c]
+        r1 = d_arr[c]
+        c += 1
+        # peek the distance of the following active pair
+        while c < total and (clustered[p_arr[c]] or not alive[l_arr[c]]):
+            c += 1
+        if c == total or d_arr[c] == INF:
+            emit_remaining()
+            break
+        r2 = d_arr[c]
+        balls[li].add(s)
+        sizes[li] += 1
+        if sizes[li] > max_size:
+            max_size = sizes[li]
+        if r1 == r2:
+            continue  # equal-distance batch still open: insert before testing
+        while i <= k and max_size * r2 > T:
+            fired = min(fired, max_size * r2)
+            best = -1
+            best_size = 0
+            for j in range(n_prime):
+                if alive[j] and sizes[j] > best_size:
+                    best_size = sizes[j]
+                    best = j
+            extract(best)
+            max_size = max(
+                (sizes[j] for j in range(n_prime) if alive[j]), default=0
+            )
+            i += 1
+            # the extraction may have killed every pair at the peeked
+            # distance; the next relevant radius is the nearest surviving
+            # pair, so refresh r2 before re-testing (keeps the discrete
+            # sweep aligned with the continuous one across dead gaps)
+            while c < total and (clustered[p_arr[c]] or not alive[l_arr[c]]):
+                c += 1
+            if c == total or d_arr[c] == INF:
+                break  # outer loop will report the remaining points
+            r2 = d_arr[c]
+
+    unassigned = [s for s in range(n) if not clustered[s]]
+    if len(clusters) < k:
+        warnings.append(f"padded_empty_clusters:{k - len(clusters)}")
+        while len(clusters) < k:
+            clusters.append([])
+            cluster_landmarks.append([])
+    return Clustering(
+        n=n,
+        clusters=clusters,
+        unassigned=unassigned,
+        cluster_landmarks=cluster_landmarks,
+        warnings=warnings,
+    ), fired
 
 
 def emit_pairs(m: MetricMatrix):

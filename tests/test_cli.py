@@ -186,28 +186,6 @@ class TestSweepCommand:
         assert len(payload["candidates_tried"]) == payload["runs_executed"]
 
 
-    def test_sweep_failure_exits_4_with_best_run(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        from landmark_minsum import SweepFailure, cli
-
-        def failing(args):
-            raise SweepFailure("no run covered", best_threshold=2.5,
-                               best_coverage=7)
-
-        monkeypatch.setattr(cli, "cmd_sweep", failing)
-        path = write_matrix(tmp_path, random_metric(10, 2, seed=8))
-        code, _, err = run_cli(
-            capsys, "sweep", "--input", path, "--k", "2", "--landmarks", "3",
-            "--stop-bound", "0",
-        )
-        assert code == 4
-        payload = json.loads(err)
-        assert payload["error"] == "SweepFailure"
-        assert payload["best_threshold"] == 2.5
-        assert payload["best_coverage"] == 7
-
-
 class TestBaselineCommand:
     def test_baseline_runs(self, capsys, bundle_dir):
         out, _ = bundle_dir

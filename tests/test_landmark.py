@@ -1,8 +1,11 @@
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from landmark_minsum import (
@@ -22,12 +25,19 @@ from landmark_minsum import (
     landmark_count_for,
     plant_landmarks,
     sample_landmarks,
+    sweep,
     threshold_from_opt,
     verify_structure,
 )
+from landmark_minsum.landmark import _stream_min_sum
 
-from conftest import euclidean_matrix, random_metric, random_symmetric
-from oracles import conceptual_cluster_min_sum
+from conftest import (
+    criterion_07_case,
+    euclidean_matrix,
+    random_metric,
+    random_symmetric,
+)
+from oracles import conceptual_cluster_min_sum, loop_stream_min_sum
 
 
 def two_pairs_matrix():
@@ -221,14 +231,6 @@ class TestClusterMinSum:
             runs.append(json.dumps(c.to_dict(), sort_keys=True))
         assert runs[0] == runs[1]
 
-    def test_monotone_test_radii(self):
-        m = random_metric(60, 2, seed=9)
-        t = table_for(m, sample_landmarks(60, 8, seed=9))
-        trace: list = []
-        cluster_min_sum(t, k=4, threshold=3.0, trace=trace)
-        radii = [ev[1] for ev in trace if ev[0] == "test"]
-        assert all(a <= b for a, b in zip(radii, radii[1:]))
-
     def test_size_ordered_core_extraction(self):
         # cores with size*diameter held constant come out largest first
         spec = InstanceSpec(sizes=(40, 20, 10), theta=6.0, seed=21)
@@ -325,3 +327,77 @@ class TestConceptualOracle:
         b = conceptual_cluster_min_sum(m, landmarks, k, threshold)
         assert a.clusters == b.clusters
         assert a.unassigned == b.unassigned
+
+
+@st.composite
+def stream_cases(draw):
+    """A small table, k and T: grid points give tied and zero distances
+    (repeated points), an optional second component sits at +inf, and T is
+    often a size x distance product, a fired product or a float next to
+    one, where the extraction tests and the dead gaps they open are
+    decided."""
+    n = draw(st.integers(1, 25), label="n")
+    kind = draw(st.sampled_from(["l1", "euclidean", "symmetric"]), label="kind")
+    if kind == "symmetric":  # not a metric; ties and zeros off the diagonal
+        upper = draw(st.lists(st.integers(0, 5), min_size=n * (n - 1) // 2,
+                              max_size=n * (n - 1) // 2), label="upper")
+        vals = np.zeros((n, n))
+        vals[np.triu_indices(n, 1)] = upper
+        vals += vals.T
+    else:
+        coords = np.array(draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            min_size=n, max_size=n,
+        ), label="coords"), dtype=float)
+        if kind == "l1":
+            vals = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+        else:
+            vals = euclidean_matrix(coords).values.copy()
+    split = draw(st.integers(0, n), label="split")
+    far = np.arange(n) >= split  # points from `split` on: the +inf component
+    vals[far[:, None] != far[None, :]] = math.inf
+    n_prime = draw(st.one_of(st.just(n), st.integers(1, n)), label="n_prime")
+    landmarks = draw(st.permutations(range(n)), label="order")[:n_prime]
+    k = draw(st.integers(1, n), label="k")
+    table = table_for(MetricMatrix(vals), landmarks)
+    positive = np.unique(vals[np.isfinite(vals) & (vals > 0)]).tolist()
+    if not positive:
+        return table, k, draw(st.floats(1e-3, 10.0), label="T")
+    t = draw(st.integers(1, n), label="size") * draw(st.sampled_from(positive),
+                                                      label="distance")
+    if draw(st.booleans(), label="fired"):
+        fired = loop_stream_min_sum(table, k, t)[1]
+        if fired < math.inf:
+            t = fired
+    nudge = draw(st.sampled_from([0.0, -math.inf, math.inf]), label="nudge")
+    if nudge:
+        t = float(np.nextafter(t, nudge))
+    return table, k, t
+
+
+class TestMatchesLoopOracle:
+    """Differential gate: the single-pass kernel against
+    `oracles.loop_stream_min_sum`, the loop it replaced."""
+
+    @given(stream_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_small_adversarial_tables(self, case):
+        table, k, t = case
+        run, fired = _stream_min_sum(table, k, t)
+        ref, ref_fired = loop_stream_min_sum(table, k, t)
+        assert run.clusters == ref.clusters
+        assert run.unassigned == ref.unassigned
+        assert run.cluster_landmarks == ref.cluster_landmarks
+        assert run.warnings == ref.warnings
+        assert fired == ref_fired
+        if fired == math.inf:  # nothing fired: the run clusters every point
+            assert run.points_clustered() == table.n
+
+    @pytest.mark.parametrize("trial", range(30))
+    def test_criterion_07_sweeps(self, trial, monkeypatch):
+        table, k, b = criterion_07_case(trial)
+        res = sweep(table, k, b)
+        # the package's `sweep` attribute is the function, not the module
+        sweep_module = importlib.import_module("landmark_minsum.sweep")
+        monkeypatch.setattr(sweep_module, "_stream_min_sum", loop_stream_min_sum)
+        assert sweep(table, k, b).to_dict() == res.to_dict()

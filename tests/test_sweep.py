@@ -25,7 +25,7 @@ from landmark_minsum import (
 )
 from landmark_minsum.landmark import _stream_min_sum
 
-from conftest import euclidean_matrix, random_metric
+from conftest import criterion_07_case, euclidean_matrix, random_metric
 from oracles import candidate_sweep, enumerate_thresholds
 
 
@@ -211,15 +211,7 @@ class TestMatchesCandidateWalk:
 
     @pytest.mark.parametrize("trial", range(30))
     def test_criterion_07_inputs(self, trial):
-        seed = 700 + trial
-        sizes = [(50, 40, 30), (45, 40, 35, 30), (60, 45, 35)][trial % 3]
-        inst = generate(InstanceSpec(
-            sizes=sizes, theta=5.0,
-            bad_fraction=0.01 if trial % 3 == 2 else 0.0, seed=seed,
-        ))
-        t = table_for(inst.matrix, plant_landmarks(inst, per_core=1, seed=seed))
-        assert_matches_oracle(t, len(sizes),
-                              stop_bound_from(inst.stability, inst.n))
+        assert_matches_oracle(*criterion_07_case(trial))
 
     def test_criterion_10_input(self):
         with resources.as_file(
