@@ -82,23 +82,21 @@ def sample_landmarks(n: int, n_prime: int, seed: int) -> list[int]:
     return [int(x) for x in rng.choice(n, size=n_prime, replace=False)]
 
 
+@dataclass(frozen=True, eq=False)
 class LandmarkTable:
     """Landmark distance rows plus the globally sorted pair stream.
 
     Pairs are sorted by (distance, landmark position, point id); +inf
-    distances land at the end.  Immutable once built; the Python-list view
-    of the stream's finite part, the only part a run consumes, is cached
-    for reuse across runs.
+    distances land at the end.  Immutable once built; a run reads the
+    stream's finite part, the only part it consumes, from `finite_stream()`.
     """
 
-    def __init__(self, landmark_ids, rows, pair_landmark, pair_point, pair_dist, n):
-        self.landmark_ids = list(landmark_ids)
-        self.rows = rows
-        self.pair_landmark = pair_landmark
-        self.pair_point = pair_point
-        self.pair_dist = pair_dist
-        self.n = n
-        self._lists = None
+    landmark_ids: list[int]
+    rows: np.ndarray
+    pair_landmark: np.ndarray
+    pair_point: np.ndarray
+    pair_dist: np.ndarray
+    n: int
 
     @property
     def n_prime(self) -> int:
@@ -108,15 +106,12 @@ class LandmarkTable:
     def pair_count(self) -> int:
         return len(self.pair_dist)
 
-    def pair_lists(self):
-        if self._lists is None:
-            finite = int(np.searchsorted(self.pair_dist, INF))
-            self._lists = (
-                self.pair_landmark[:finite].tolist(),
-                self.pair_point[:finite].tolist(),
-                self.pair_dist[:finite].tolist(),
-            )
-        return self._lists
+    def finite_stream(self) -> tuple[memoryview, ...]:
+        """The (landmark, point, distance) columns cut before the first +inf
+        distance, as zero-copy views."""
+        finite = int(np.searchsorted(self.pair_dist, INF))
+        cols = (self.pair_landmark, self.pair_point, self.pair_dist)
+        return tuple(memoryview(col[:finite]) for col in cols)
 
 
 def build_landmark_table(source: DistanceSource, landmark_ids) -> LandmarkTable:
@@ -257,18 +252,21 @@ def cluster_min_sum(table: LandmarkTable, k: int, threshold: float) -> Clusterin
     one more cluster.  Fewer than k clusters are padded with empty ones
     under a warning.
     """
-    return _stream_min_sum(table, k, threshold)[0]
+    return _stream_min_sum(table, k, threshold, table.finite_stream())[0]
 
 
 def _stream_min_sum(
     table: LandmarkTable,
     k: int,
     threshold: float,
+    stream,
 ) -> tuple[Clustering, float]:
     """`cluster_min_sum` plus the smallest product max_size * r that fired.
 
-    The run depends on T only through its tests `max_size * r > T`, so
-    every threshold in [T, smallest fired product) gives the same run; the
+    `stream` is `table.finite_stream()`, read in place, or those columns as
+    Python lists, converted once by a caller making many runs.  The run
+    depends on T only through its tests `max_size * r > T`, so every
+    threshold in [T, smallest fired product) gives the same run; the
     product is +inf when no test fired.
     """
     n = table.n
@@ -291,7 +289,7 @@ def _stream_min_sum(
 
     fired = INF
     last = None  # distance of the last inserted pair; None after an extraction
-    for li, s, r in zip(*table.pair_lists()):
+    for li, s, r in zip(*stream):
         # a pair is live until its point or its landmark is clustered; when
         # an extraction kills the current pair the re-test moves on to the
         # next live pair

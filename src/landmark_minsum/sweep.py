@@ -69,20 +69,21 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
     table throughout, so no new queries are issued.
     """
     n = table.n
-    dists = table.pair_dist
-    positive = dists[(dists > 0) & np.isfinite(dists)]
-    if positive.size == 0:
+    dists = table.pair_dist  # ascending, +inf last
+    first = int(np.searchsorted(dists, 0.0, side="right"))
+    if first == dists.size or np.isinf(dists[first]):
         raise DataError("no positive finite landmark-point distances")
     if not 0 <= stop_bound_b < n:
         raise ParameterError(f"need 0 <= b < n, got b={stop_bound_b}, n={n}")
     needed = n - stop_bound_b
     coverage: list[tuple[float, int]] = []
-    t = float(positive.min())
+    t = float(dists[first])
+    stream = [col.tolist() for col in table.finite_stream()]
     # the smallest fired product exceeds t, so t rises strictly; a run in
     # which nothing fires (fired is +inf) clusters every point, and the walk
     # reaches such a run before t becomes +inf, so the loop always returns
     while True:
-        run, fired = _stream_min_sum(table, k, t)
+        run, fired = _stream_min_sum(table, k, t, stream)
         cov = run.points_clustered()
         coverage.append((t, cov))
         if cov >= needed:

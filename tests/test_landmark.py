@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from landmark_minsum import (
     MatrixDistanceSource,
     MetricMatrix,
     ParameterError,
+    PointCloudDistanceSource,
     StabilityParams,
     assign_remainder,
     build_landmark_table,
@@ -382,16 +384,20 @@ class TestMatchesLoopOracle:
     @given(stream_cases())
     @settings(max_examples=300, deadline=None)
     def test_small_adversarial_tables(self, case):
+        # both stream forms: the views a single run reads in place and the
+        # lists a sweep converts once
         table, k, t = case
-        run, fired = _stream_min_sum(table, k, t)
         ref, ref_fired = loop_stream_min_sum(table, k, t)
-        assert run.clusters == ref.clusters
-        assert run.unassigned == ref.unassigned
-        assert run.cluster_landmarks == ref.cluster_landmarks
-        assert run.warnings == ref.warnings
-        assert fired == ref_fired
-        if fired == math.inf:  # nothing fired: the run clusters every point
-            assert run.points_clustered() == table.n
+        views = table.finite_stream()
+        for stream in (views, [col.tolist() for col in views]):
+            run, fired = _stream_min_sum(table, k, t, stream)
+            assert run.clusters == ref.clusters
+            assert run.unassigned == ref.unassigned
+            assert run.cluster_landmarks == ref.cluster_landmarks
+            assert run.warnings == ref.warnings
+            assert fired == ref_fired
+            if fired == math.inf:  # nothing fired: every point is clustered
+                assert run.points_clustered() == table.n
 
     @pytest.mark.parametrize("trial", range(30))
     def test_criterion_07_sweeps(self, trial, monkeypatch):
@@ -399,5 +405,38 @@ class TestMatchesLoopOracle:
         res = sweep(table, k, b)
         # the package's `sweep` attribute is the function, not the module
         sweep_module = importlib.import_module("landmark_minsum.sweep")
-        monkeypatch.setattr(sweep_module, "_stream_min_sum", loop_stream_min_sum)
+        monkeypatch.setattr(
+            sweep_module, "_stream_min_sum",
+            lambda table, k, t, stream: loop_stream_min_sum(table, k, t),
+        )
         assert sweep(table, k, b).to_dict() == res.to_dict()
+
+
+class TestStreamReadInPlace:
+    """Runs keep no copy of the pair stream on the table: it stays as built,
+    and a run that stops early allocates next to nothing."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        n = 20_000  # 320k pairs
+        pts = np.random.default_rng(20).uniform(0, 100, size=(n, 4))
+        return build_landmark_table(PointCloudDistanceSource(pts),
+                                    sample_landmarks(n, 16, seed=20))
+
+    def test_runs_leave_the_table_as_built(self, table):
+        before = dict(vars(table))
+        cluster_min_sum(table, 3, 1.0)
+        sweep(table, 3, table.n - 1)  # stops at its first run
+        after = vars(table)
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
+
+    def test_short_run_allocates_little(self, table):
+        tracemalloc.start()
+        try:
+            run, _ = _stream_min_sum(table, 3, 1.0, table.finite_stream())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.k == 3 and len(run.unassigned) > table.n // 2
+        assert peak < 5 * 2**20, peak

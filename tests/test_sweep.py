@@ -131,19 +131,29 @@ class TestSweep:
 
     def test_monotone_stop_never_examines_larger(self):
         inst = small_verified_instance(seed=4)
-        t = table_for(inst.matrix, plant_landmarks(inst, 1, seed=4))
-        cands = enumerate_thresholds(t, inst.n)
-        b = stop_bound_from(inst.stability, inst.n)
-        res = sweep(t, 3, b)
-        tried = [tv for tv, _ in res.coverage_per_candidate]
-        assert res.runs_executed == len(tried) <= len(cands)
-        assert tried[0] == cands[0]
-        assert all(lo < hi for lo, hi in zip(tried, tried[1:]))
-        assert set(tried) <= set(cands.tolist())
-        assert all(cov < inst.n - b for _, cov in res.coverage_per_candidate[:-1])
-        assert res.coverage_per_candidate[-1][1] >= inst.n - b
-        assert res.chosen_threshold == tried[-1]
-        assert res.chosen_threshold == candidate_sweep(t, 3, b).chosen_threshold
+        planted = table_for(inst.matrix, plant_landmarks(inst, 1, seed=4))
+        # repeated points give 0.0 and -0.0 pairs before the first positive
+        # distance; points 9-11 sit at +inf from the rest
+        pts = np.array([0, 0, 0, 1, 3, 4, 4, 8, 9, 20, 20, 21], dtype=float)
+        vals = np.abs(pts[:, None] - pts[None, :])
+        vals[vals == 0] = -0.0
+        np.fill_diagonal(vals, 0.0)
+        far = np.arange(12) >= 9
+        vals[far[:, None] != far[None, :]] = np.inf
+        zeros_and_inf = table_for(MetricMatrix(vals), [0, 3, 5, 9])
+        for t, b in ((planted, stop_bound_from(inst.stability, inst.n)),
+                     (zeros_and_inf, 2)):
+            cands = enumerate_thresholds(t, t.n)
+            res = sweep(t, 3, b)
+            tried = [tv for tv, _ in res.coverage_per_candidate]
+            assert res.runs_executed == len(tried) <= len(cands)
+            assert tried[0] == cands[0]
+            assert all(lo < hi for lo, hi in zip(tried, tried[1:]))
+            assert set(tried) <= set(cands.tolist())
+            assert all(cov < t.n - b for _, cov in res.coverage_per_candidate[:-1])
+            assert res.coverage_per_candidate[-1][1] >= t.n - b
+            assert res.chosen_threshold == tried[-1]
+            assert res.chosen_threshold == candidate_sweep(t, 3, b).chosen_threshold
 
     def test_degenerate_bound_first_candidate_wins(self):
         m = random_metric(20, 2, seed=5)
@@ -182,7 +192,7 @@ class TestSweep:
         t = table_for(m, sample_landmarks(18, 5, seed=10))
         cands = enumerate_thresholds(t).tolist()
         for lo in cands[::7]:
-            run, fired = _stream_min_sum(t, 3, lo)
+            run, fired = _stream_min_sum(t, 3, lo, t.finite_stream())
             assert fired > lo
             assert fired == np.inf or fired in cands
             assert cluster_min_sum(t, 3, lo).to_dict() == run.to_dict()
