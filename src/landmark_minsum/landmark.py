@@ -252,7 +252,8 @@ def cluster_min_sum(table: LandmarkTable, k: int, threshold: float) -> Clusterin
     one more cluster.  Fewer than k clusters are padded with empty ones
     under a warning.
     """
-    return _stream_min_sum(table, k, threshold, table.finite_stream())[0]
+    clusters, _ = _stream_min_sum(table, k, threshold, table.finite_stream())
+    return _as_clustering(table, k, clusters)
 
 
 def _stream_min_sum(
@@ -260,9 +261,13 @@ def _stream_min_sum(
     k: int,
     threshold: float,
     stream,
-) -> tuple[Clustering, float]:
-    """`cluster_min_sum` plus the smallest product max_size * r that fired.
+) -> tuple[list[list[int]], float]:
+    """One run of `cluster_min_sum`: its bare clusters and the smallest
+    product max_size * r that fired.
 
+    The clusters are the extracted ones in extraction order, each sorted,
+    then, if the finite stream ran out before k extractions, the remaining
+    points as one last cluster; so their total size is the run's coverage.
     `stream` is `table.finite_stream()`, read in place, or those columns as
     Python lists, converted once by a caller making many runs.  The run
     depends on T only through its tests `max_size * r > T`, so every
@@ -271,21 +276,16 @@ def _stream_min_sum(
     """
     n = table.n
     _validate_run(n, k, threshold)
-    if table.pair_count == 0:
-        raise ParameterError("landmark table has no pairs")
     T = float(threshold)
 
-    n_prime = table.n_prime
-    pos_by_point = {pid: j for j, pid in enumerate(table.landmark_ids)}
-
+    lid = table.landmark_ids
     clustered = bytearray(n)
-    alive = [True] * n_prime
-    balls: list[set] = [set() for _ in range(n_prime)]
-    sizes = [0] * n_prime  # a dead landmark's ball is empty
+    # a landmark is alive while its own point is unclustered, and the ball
+    # of a dead landmark is empty
+    balls: list[set] = [set() for _ in lid]
+    sizes = [0] * len(lid)
     max_size = 0
-
     clusters: list[list[int]] = []
-    cluster_landmarks: list[list[int]] = []
 
     fired = INF
     last = None  # distance of the last inserted pair; None after an extraction
@@ -293,7 +293,7 @@ def _stream_min_sum(
         # a pair is live until its point or its landmark is clustered; when
         # an extraction kills the current pair the re-test moves on to the
         # next live pair
-        while not clustered[s] and alive[li]:
+        while not (clustered[s] or clustered[lid[li]]):
             if r != last and max_size * r > T and len(clusters) < k:
                 fired = min(fired, max_size * r)
                 bstar = balls[sizes.index(max_size)]
@@ -302,21 +302,15 @@ def _stream_min_sum(
                     if not ball.isdisjoint(bstar):
                         merged |= ball
                 members = sorted(merged)
-                lmarks = []
                 for q in members:
                     clustered[q] = 1
-                    pos = pos_by_point.get(q)
-                    if pos is not None:
-                        alive[pos] = False
-                        lmarks.append(q)
                 clusters.append(members)
-                cluster_landmarks.append(lmarks)
-                for j in range(n_prime):
-                    if alive[j]:
-                        balls[j] -= merged
+                for j, ball in enumerate(balls):
+                    if clustered[lid[j]]:
+                        ball.clear()
                     else:
-                        balls[j].clear()
-                    sizes[j] = len(balls[j])
+                        ball -= merged
+                    sizes[j] = len(ball)
                 max_size = max(sizes)
                 last = None
                 continue
@@ -329,27 +323,30 @@ def _stream_min_sum(
         if len(clusters) == k:
             break  # nothing more can be extracted
 
-    unassigned = [s for s in range(n) if not clustered[s]]
     if len(clusters) < k:
         # the finite stream ran out first: the points left form one cluster
-        clusters.append(unassigned)
-        cluster_landmarks.append(
-            sorted(pid for pid in table.landmark_ids if not clustered[pid])
-        )
-        unassigned = []
-    warnings: list[str] = []
-    if len(clusters) < k:
-        warnings.append(f"padded_empty_clusters:{k - len(clusters)}")
-        while len(clusters) < k:
-            clusters.append([])
-            cluster_landmarks.append([])
+        clusters.append([s for s in range(n) if not clustered[s]])
+    return clusters, fired
+
+
+def _as_clustering(table: LandmarkTable, k: int, clusters: list) -> Clustering:
+    """The `Clustering` of one run's bare clusters from `_stream_min_sum`:
+    points in no cluster are unassigned, each cluster's landmarks are its
+    landmark points in ascending order, and fewer than k clusters are padded
+    with empty ones under a `padded_empty_clusters:N` warning."""
+    unclustered = np.ones(table.n, dtype=bool)
+    for members in clusters:
+        unclustered[members] = False
+    is_landmark = set(table.landmark_ids)
+    landmarks = [[q for q in members if q in is_landmark] for members in clusters]
+    pad = k - len(clusters)
     return Clustering(
-        n=n,
-        clusters=clusters,
-        unassigned=unassigned,
-        cluster_landmarks=cluster_landmarks,
-        warnings=warnings,
-    ), fired
+        n=table.n,
+        clusters=clusters + [[] for _ in range(pad)],
+        unassigned=np.flatnonzero(unclustered).tolist(),
+        cluster_landmarks=landmarks + [[] for _ in range(pad)],
+        warnings=[f"padded_empty_clusters:{pad}"] if pad else [],
+    )
 
 
 def assign_remainder(c: Clustering, table: LandmarkTable) -> Clustering:

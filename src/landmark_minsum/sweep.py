@@ -22,6 +22,7 @@ from .landmark import (
     Clustering,
     LandmarkTable,
     StabilityParams,
+    _as_clustering,
     _stream_min_sum,
     assign_remainder,
     snapped_ceil,
@@ -83,14 +84,14 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
     # which nothing fires (fired is +inf) clusters every point, and the walk
     # reaches such a run before t becomes +inf, so the loop always returns
     while True:
-        run, fired = _stream_min_sum(table, k, t, stream)
-        cov = run.points_clustered()
+        clusters, fired = _stream_min_sum(table, k, t, stream)
+        cov = sum(map(len, clusters))
         coverage.append((t, cov))
         if cov >= needed:
-            final = assign_remainder(run, table)
+            run = _as_clustering(table, k, clusters)
             return SweepResult(
                 chosen_threshold=t,
-                clustering=final,
+                clustering=assign_remainder(run, table),
                 runs_executed=len(coverage),
                 points_clustered_at_stop=cov,
                 coverage_per_candidate=coverage,

@@ -31,7 +31,7 @@ from landmark_minsum import (
     threshold_from_opt,
     verify_structure,
 )
-from landmark_minsum.landmark import _stream_min_sum
+from landmark_minsum.landmark import _as_clustering, _stream_min_sum
 
 from conftest import (
     criterion_07_case,
@@ -390,26 +390,57 @@ class TestMatchesLoopOracle:
         ref, ref_fired = loop_stream_min_sum(table, k, t)
         views = table.finite_stream()
         for stream in (views, [col.tolist() for col in views]):
-            run, fired = _stream_min_sum(table, k, t, stream)
+            clusters, fired = _stream_min_sum(table, k, t, stream)
+            run = _as_clustering(table, k, clusters)
             assert run.clusters == ref.clusters
             assert run.unassigned == ref.unassigned
             assert run.cluster_landmarks == ref.cluster_landmarks
             assert run.warnings == ref.warnings
             assert fired == ref_fired
             if fired == math.inf:  # nothing fired: every point is clustered
-                assert run.points_clustered() == table.n
+                assert sum(map(len, clusters)) == table.n
 
     @pytest.mark.parametrize("trial", range(30))
     def test_criterion_07_sweeps(self, trial, monkeypatch):
+        # every run of the sweep, not only the winner, matches the oracle
         table, k, b = criterion_07_case(trial)
-        res = sweep(table, k, b)
+        oracle_runs = []
+
+        def checked(table, k, t, stream):
+            clusters, fired = _stream_min_sum(table, k, t, stream)
+            ref, ref_fired = loop_stream_min_sum(table, k, t)
+            assert _as_clustering(table, k, clusters).to_dict() == ref.to_dict()
+            assert fired == ref_fired
+            oracle_runs.append((t, ref))
+            return clusters, fired
+
         # the package's `sweep` attribute is the function, not the module
         sweep_module = importlib.import_module("landmark_minsum.sweep")
-        monkeypatch.setattr(
-            sweep_module, "_stream_min_sum",
-            lambda table, k, t, stream: loop_stream_min_sum(table, k, t),
-        )
-        assert sweep(table, k, b).to_dict() == res.to_dict()
+        monkeypatch.setattr(sweep_module, "_stream_min_sum", checked)
+        res = sweep(table, k, b)
+        assert res.coverage_per_candidate == [
+            (t, ref.points_clustered()) for t, ref in oracle_runs
+        ]
+        winner = assign_remainder(oracle_runs[-1][1], table)
+        assert res.clustering.to_dict() == winner.to_dict()
+
+    def test_sweep_builds_one_clustering(self, monkeypatch):
+        # runs return bare clusters; only the winner and its remainder
+        # assignment become `Clustering` objects
+        table, k, b = criterion_07_case(0)
+        built = []
+
+        class Counted(Clustering):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        landmark_module = importlib.import_module("landmark_minsum.landmark")
+        monkeypatch.setattr(landmark_module, "Clustering", Counted)
+        res = sweep(table, k, b)
+        assert res.runs_executed > 2
+        assert 1 <= len(built) <= 2
+        assert res.clustering is built[-1]
 
 
 class TestStreamReadInPlace:
@@ -434,9 +465,10 @@ class TestStreamReadInPlace:
     def test_short_run_allocates_little(self, table):
         tracemalloc.start()
         try:
-            run, _ = _stream_min_sum(table, 3, 1.0, table.finite_stream())
+            clusters, _ = _stream_min_sum(table, 3, 1.0, table.finite_stream())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert run.k == 3 and len(run.unassigned) > table.n // 2
+        assert len(clusters) == 3
+        assert table.n - sum(map(len, clusters)) > table.n // 2
         assert peak < 5 * 2**20, peak

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landmark_minsum import (
     BudgetExhaustedError,
@@ -16,6 +19,7 @@ from landmark_minsum import (
     read_pair_file,
     write_labels_csv,
 )
+from landmark_minsum.metric import _TRIANGLE_REL_TOL
 
 from conftest import euclidean_matrix, random_metric
 from oracles import emit_pairs
@@ -207,6 +211,38 @@ class TestCheckMetric:
         vals[0, 2] = vals[2, 0] = math.inf  # inf side is skipped, not violating
         report = check_metric(MetricMatrix(vals), mode="exhaustive")
         assert report.ok
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_exhaustive_matches_all_triples(self, data):
+        # symmetric, not metric: integer ties, zeros off the diagonal, +inf,
+        # and scales where the tolerance underflows or a sum overflows
+        n = data.draw(st.integers(0, 10), label="n")
+        upper = data.draw(st.lists(
+            st.one_of(st.integers(0, 6).map(float), st.just(math.inf)),
+            min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2,
+        ), label="upper")
+        scale = data.draw(st.sampled_from([1.0, 1e-300, 1e300, 2.5e307]),
+                          label="scale")
+        vals = np.zeros((n, n))
+        vals[np.triu_indices(n, 1)] = np.array(upper) * scale
+        vals += vals.T
+        d = MetricMatrix(vals).values.tolist()
+
+        def violates(a, b, c):
+            lhs, rhs = d[a][c], d[a][b] + d[b][c]
+            return (math.isfinite(lhs) and math.isfinite(rhs)
+                    and lhs > rhs + _TRIANGLE_REL_TOL * rhs)
+
+        expected = {
+            triple for triple in itertools.combinations(range(n), 3)
+            if any(violates(*o) for o in itertools.permutations(triple))
+        }
+        with np.errstate(over="ignore"):
+            got = check_metric(MetricMatrix(vals), mode="exhaustive").violations
+        assert len({tuple(sorted(v)) for v in got}) == len(got)
+        assert {tuple(sorted(v)) for v in got} == expected
+        assert all(violates(*v) for v in got)
 
 
 class TestIngest:

@@ -23,7 +23,7 @@ from landmark_minsum import (
     stop_bound_from,
     sweep,
 )
-from landmark_minsum.landmark import _stream_min_sum
+from landmark_minsum.landmark import _as_clustering, _stream_min_sum
 
 from conftest import criterion_07_case, euclidean_matrix, random_metric
 from oracles import candidate_sweep, enumerate_thresholds
@@ -192,7 +192,8 @@ class TestSweep:
         t = table_for(m, sample_landmarks(18, 5, seed=10))
         cands = enumerate_thresholds(t).tolist()
         for lo in cands[::7]:
-            run, fired = _stream_min_sum(t, 3, lo, t.finite_stream())
+            clusters, fired = _stream_min_sum(t, 3, lo, t.finite_stream())
+            run = _as_clustering(t, 3, clusters)
             assert fired > lo
             assert fired == np.inf or fired in cands
             assert cluster_min_sum(t, 3, lo).to_dict() == run.to_dict()
