@@ -99,10 +99,8 @@ def _load_matrix(args) -> MetricMatrix:
     return ingest_similarity(pairs, policy=getattr(args, "policy", "min_distance"))
 
 
-def _stability_from(args, required: bool = False) -> StabilityParams | None:
+def _stability_from(args) -> StabilityParams | None:
     if args.alpha is None and args.epsilon is None:
-        if required:
-            raise ParameterError("need --alpha and --epsilon")
         return None
     if args.alpha is None or args.epsilon is None:
         raise ParameterError("--alpha and --epsilon must be given together")

@@ -26,9 +26,9 @@ class ObjectiveValue:
     medians: list[int | None] | None = None
 
 
-def _require_partition(c: Clustering, m: MetricMatrix) -> None:
-    if c.n != m.n:
-        raise DataError(f"clustering over {c.n} points, matrix over {m.n}")
+def _require_partition(c: Clustering, n: int) -> None:
+    if c.n != n:
+        raise DataError(f"clustering over {c.n} points, expected {n}")
     c.validate()
     if not c.is_partition():
         raise DataError("clustering has unassigned points")
@@ -67,13 +67,13 @@ def min_sum(c: Clustering, m: MetricMatrix) -> ObjectiveValue:
     Infinite intra-cluster distances flag the value as infinite rather
     than raising.
     """
-    _require_partition(c, m)
+    _require_partition(c, m.n)
     return _min_sum_of(c.clusters, m.values)
 
 
 def balanced_k_median(c: Clustering, m: MetricMatrix) -> ObjectiveValue:
     """Per cluster: size times the distance sum to the best in-cluster median."""
-    _require_partition(c, m)
+    _require_partition(c, m.n)
     return _balanced_k_median_of(c.clusters, m.values)
 
 
@@ -94,12 +94,8 @@ def clustering_distance(c1: Clustering, c2: Clustering) -> float:
     Unequal cluster counts are padded with empty clusters, which is what the
     square contingency table below encodes for free.
     """
-    if c1.n != c2.n:
-        raise DataError(f"clusterings over {c1.n} vs {c2.n} points")
-    for c in (c1, c2):
-        c.validate()
-        if not c.is_partition():
-            raise DataError("clustering distance needs complete partitions")
+    _require_partition(c1, c1.n)
+    _require_partition(c2, c1.n)
     k = max(c1.k, c2.k, 1)
     return _labels_distance(c1.labels(), c2.labels(), k, c1.n)
 
@@ -194,7 +190,7 @@ def classify_points(
     weight is vacuous (+inf); the report flags that rather than inventing
     semantics.
     """
-    _require_partition(c_star, m)
+    _require_partition(c_star, m.n)
     n = m.n
     obj = balanced_k_median(c_star, m)
     medians = obj.medians
@@ -353,7 +349,7 @@ def verify_stability(
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if objective not in _OBJECTIVES:
         raise ParameterError(f"unknown objective {objective!r}")
-    _require_partition(target, m)
+    _require_partition(target, m.n)
     score = _OBJECTIVES[objective]
     d = m.values
     # one score per partition (8 bytes each), then a replay of the walk
@@ -432,7 +428,4 @@ def embed_kmeans_baseline(
             members = clean & (labels == j)
             if members.any():
                 centers[j] = emb_z[members].mean(axis=0)
-    clusters = [[] for _ in range(k)]
-    for p, lab in enumerate(labels):
-        clusters[int(lab)].append(p)
-    return Clustering(n=n, clusters=clusters, warnings=warnings)
+    return Clustering(n=n, clusters=_members(labels, k), warnings=warnings)

@@ -122,10 +122,6 @@ def build_landmark_table(source: DistanceSource, landmark_ids) -> LandmarkTable:
     if len(set(ids)) != len(ids):
         raise ParameterError("landmark ids must be distinct")
     rows = np.vstack([source.query_one_vs_all(l) for l in ids])
-    if np.isnan(rows).any():
-        raise DataError("distance source returned NaN")
-    if (rows < 0).any():
-        raise DataError("distance source returned a negative distance")
     n = source.n
     n_prime = len(ids)
     l_flat = np.repeat(np.arange(n_prime, dtype=np.int32), n)

@@ -53,8 +53,10 @@ class QueryLedger:
 class DistanceSource:
     """One-versus-all oracle over a hidden metric on n points.
 
-    Subclasses provide `_row`.  Every successful `query_one_vs_all` charges
-    the ledger exactly once; repeated queries return identical vectors.
+    Subclasses provide `_row`.  Every `query_one_vs_all` within the budget
+    charges the ledger exactly once; repeated queries return identical
+    vectors.  A row holding NaN or a negative value raises DataError, and
+    its query stays charged.
     """
 
     def __init__(self, n: int, ledger: QueryLedger | None = None):
@@ -65,8 +67,11 @@ class DistanceSource:
         if not 0 <= s < self.n:
             raise ParameterError(f"point id {s} outside [0, {self.n})")
         self.ledger.charge()
-        row = np.asarray(self._row(s), dtype=np.float64)
-        row = row.copy()
+        row = np.array(self._row(s), dtype=np.float64)
+        if not (row >= 0).all():
+            if np.isnan(row).any():
+                raise DataError("distance source returned NaN")
+            raise DataError("distance source returned a negative distance")
         row.flags.writeable = False
         return row
 
@@ -236,14 +241,15 @@ class MetricReport:
 _TRIANGLE_REL_TOL = 1e-12
 
 
-def _triple_violations(d: np.ndarray, i, j, k):
-    """Yield orientations (a,b,c) of one triple with d(a,c) > d(a,b)+d(b,c)."""
-    for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):
-        lhs = d[a, c]
-        rhs = d[a, b] + d[b, c]
-        finite = np.isfinite(lhs) and np.isfinite(rhs)
-        if finite and lhs > rhs + _TRIANGLE_REL_TOL * rhs:
-            yield (int(a), int(b), int(c))
+def _violates(ac, ab, bc):
+    """Elementwise d(a,c) > d(a,b) + d(b,c) beyond the relative tolerance.
+
+    Sides that are +inf, or sum past the largest float, are not tested.
+    """
+    with np.errstate(over="ignore"):
+        rhs = ab + bc
+        over = ac > rhs + _TRIANGLE_REL_TOL * rhs
+    return over & np.isfinite(ac) & np.isfinite(rhs)
 
 
 def check_metric(
@@ -263,13 +269,11 @@ def check_metric(
     violations: list[tuple[int, int, int]] = []
     if mode == "exhaustive":
         checked = n * (n - 1) * (n - 2) // 6
-        finite = np.isfinite(d)
         for j in range(n):
             # via-j sums for all (i, k); a violated side d(i,k) is the
             # triple's strict largest (distances are non-negative), so no
             # other middle point violates and each triple is reported once
-            rhs = d[:, j][:, None] + d[j, :][None, :]
-            bad = (d > rhs + _TRIANGLE_REL_TOL * rhs) & finite & np.isfinite(rhs)
+            bad = _violates(d, d[:, j][:, None], d[j, :][None, :])
             bad[j, :] = False
             bad[:, j] = False
             if bad.any():
@@ -280,15 +284,22 @@ def check_metric(
             return MetricReport(n, mode, 0, [])
         rng = np.random.default_rng(seed)
         checked = sample_triples
-        seen = set()
-        for _ in range(sample_triples):
-            i, j, k = rng.choice(n, size=3, replace=False)
-            for witness in _triple_violations(d, i, j, k):
-                key = tuple(sorted(witness))
-                if key not in seen:
-                    seen.add(key)
-                    violations.append(witness)
-                break
+        i, j, k = np.array(
+            [rng.choice(n, size=3, replace=False) for _ in range(sample_triples)],
+            dtype=np.intp,
+        ).reshape(-1, 3).T
+        orients = np.stack([(i, j, k), (j, i, k), (i, k, j)])
+        a, b, c = orients.swapaxes(0, 1)
+        bad = _violates(d[a, c], d[a, b], d[b, c])
+        # in draw order; at most one orientation of a triple is violated
+        # (its strict largest side), so each draw has at most one witness
+        draw, orient = np.nonzero(bad.T)
+        witnesses = orients[orient, :, draw]
+        # the first draw of each unordered triple reports it
+        first: dict = {}
+        for w in witnesses.tolist():
+            first.setdefault(tuple(sorted(w)), tuple(w))
+        violations = list(first.values())
     else:
         raise ParameterError(f"unknown check mode {mode!r}")
     return MetricReport(n, mode, checked, violations)

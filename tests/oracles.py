@@ -6,11 +6,12 @@ order, the threshold walk `landmark_minsum.sweep` shortcuts by jumping
 between fired products.  `conceptual_cluster_min_sum` restates the pair
 stream sweep of `cluster_min_sum` over continuous radii, and
 `loop_stream_min_sum` is the cursor-and-peek loop the single-pass kernel
-replaced.  `emit_pairs` inverts `ingest_similarity`.  `brute_force_optimum` and
-`two_pass_verify_stability` score every partition through the public
-objectives; the second walks the partitions twice, once for the optimum and
-once for the first counterexample, where `verify_stability` scores each
-partition once and replays the walk.
+replaced.  `sampled_check_metric` is the per-triple loop the sampled
+triangle audit vectorises.  `emit_pairs` inverts `ingest_similarity`.
+`brute_force_optimum` and `two_pass_verify_stability` score every partition
+through the public objectives; the second walks the partitions twice, once
+for the optimum and once for the first counterexample, where
+`verify_stability` scores each partition once and replays the walk.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from landmark_minsum import (
     DataError,
     LandmarkTable,
     MetricMatrix,
+    MetricReport,
     ObjectiveValue,
     ParameterError,
     StabilityParams,
@@ -37,6 +39,7 @@ from landmark_minsum import (
 )
 from landmark_minsum.evaluation import DEFAULT_BRUTE_CAP, partitions_upto_k
 from landmark_minsum.landmark import _validate_run
+from landmark_minsum.metric import _TRIANGLE_REL_TOL
 
 OBJECTIVES = {"min_sum": min_sum, "balanced_k_median": balanced_k_median}
 
@@ -327,6 +330,42 @@ def loop_stream_min_sum(
         cluster_landmarks=cluster_landmarks,
         warnings=warnings,
     ), fired
+
+
+def _triple_violations(d: np.ndarray, i, j, k):
+    """Yield orientations (a,b,c) of one triple with d(a,c) > d(a,b)+d(b,c)."""
+    for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):
+        lhs = d[a, c]
+        rhs = d[a, b] + d[b, c]
+        finite = np.isfinite(lhs) and np.isfinite(rhs)
+        if finite and lhs > rhs + _TRIANGLE_REL_TOL * rhs:
+            yield (int(a), int(b), int(c))
+
+
+def sampled_check_metric(
+    m: MetricMatrix, sample_triples: int = 10_000, seed: int = 0
+) -> MetricReport:
+    """`check_metric(m, mode="sampled")` one drawn triple at a time: the
+    first violated orientation of each draw, reported at the first draw of
+    its unordered triple."""
+    d = m.values
+    n = m.n
+    mode = "sampled"
+    violations: list[tuple[int, int, int]] = []
+    if n < 3:
+        return MetricReport(n, mode, 0, [])
+    rng = np.random.default_rng(seed)
+    checked = sample_triples
+    seen = set()
+    for _ in range(sample_triples):
+        i, j, k = rng.choice(n, size=3, replace=False)
+        for witness in _triple_violations(d, i, j, k):
+            key = tuple(sorted(witness))
+            if key not in seen:
+                seen.add(key)
+                violations.append(witness)
+            break
+    return MetricReport(n, mode, checked, violations)
 
 
 def emit_pairs(m: MetricMatrix):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,15 @@ from hypothesis import strategies as st
 from landmark_minsum import (
     BudgetExhaustedError,
     DataError,
+    DistanceSource,
     MatrixDistanceSource,
     MetricMatrix,
     ParameterError,
+    PointCloudDistanceSource,
     QueryLedger,
+    build_landmark_table,
     check_metric,
+    embed_kmeans_baseline,
     ingest_similarity,
     read_labels_csv,
     read_pair_file,
@@ -22,7 +27,7 @@ from landmark_minsum import (
 from landmark_minsum.metric import _TRIANGLE_REL_TOL
 
 from conftest import euclidean_matrix, random_metric
-from oracles import emit_pairs
+from oracles import emit_pairs, sampled_check_metric
 
 
 class TestQueryLedger:
@@ -79,6 +84,58 @@ class TestQueryLedger:
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(src.query_one_vs_all, list(range(64)) * 4))
         assert src.ledger.queries_issued == 256
+
+
+class _BadRowSource(DistanceSource):
+    """Rows |s - p|, except one entry per row set to `bad`."""
+
+    def __init__(self, n: int, bad: float):
+        super().__init__(n)
+        self.bad = bad
+
+    def _row(self, s: int) -> np.ndarray:
+        row = np.abs(np.arange(self.n, dtype=np.float64) - s)
+        row[(s + 1) % self.n] = self.bad
+        return row
+
+
+BAD_ROWS = pytest.mark.parametrize("bad, message", [
+    (math.nan, "returned NaN"),
+    (-1.0, "returned a negative distance"),
+    (-math.inf, "returned a negative distance"),
+], ids=["nan", "negative", "minus-inf"])
+
+
+class TestRowsCheckedAtQuery:
+    @BAD_ROWS
+    def test_query_rejects_row(self, bad, message):
+        src = _BadRowSource(6, bad)
+        with pytest.raises(DataError, match=message):
+            src.query_one_vs_all(2)
+        # the failed query was charged
+        assert src.ledger.queries_issued == 1
+
+    @BAD_ROWS
+    def test_landmark_table_rejects_row(self, bad, message):
+        src = _BadRowSource(8, bad)
+        with pytest.raises(DataError, match=message):
+            build_landmark_table(src, [3, 0, 5])
+        assert src.ledger.queries_issued == 1
+
+    @BAD_ROWS
+    def test_baseline_rejects_row(self, bad, message):
+        src = _BadRowSource(8, bad)
+        with pytest.raises(DataError, match=message):
+            embed_kmeans_baseline(src, d_landmarks=3, k=2, seed=0)
+        assert src.ledger.queries_issued == 1
+
+    def test_point_cloud_with_nan_coordinate(self):
+        points = np.random.default_rng(10).uniform(0, 1, size=(10, 2))
+        points[4, 1] = math.nan
+        src = PointCloudDistanceSource(points)
+        with pytest.raises(DataError, match="returned NaN"):
+            build_landmark_table(src, [0, 7])
+        assert src.ledger.queries_issued == 1
 
 
 class TestMetricMatrix:
@@ -212,14 +269,15 @@ class TestCheckMetric:
         report = check_metric(MetricMatrix(vals), mode="exhaustive")
         assert report.ok
 
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_exhaustive_matches_all_triples(self, data):
-        # symmetric, not metric: integer ties, zeros off the diagonal, +inf,
-        # and scales where the tolerance underflows or a sum overflows
-        n = data.draw(st.integers(0, 10), label="n")
+    @staticmethod
+    def draw_matrix(data, min_n: int, max_n: int) -> MetricMatrix:
+        # symmetric, not metric: integer ties, integers nudged up by half the
+        # triangle tolerance, zeros off the diagonal, +inf, and scales where
+        # the tolerance underflows or a sum overflows
+        n = data.draw(st.integers(min_n, max_n), label="n")
+        nudged = st.integers(1, 6).map(lambda v: v * (1 + _TRIANGLE_REL_TOL / 2))
         upper = data.draw(st.lists(
-            st.one_of(st.integers(0, 6).map(float), st.just(math.inf)),
+            st.one_of(st.integers(0, 6).map(float), nudged, st.just(math.inf)),
             min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2,
         ), label="upper")
         scale = data.draw(st.sampled_from([1.0, 1e-300, 1e300, 2.5e307]),
@@ -227,7 +285,14 @@ class TestCheckMetric:
         vals = np.zeros((n, n))
         vals[np.triu_indices(n, 1)] = np.array(upper) * scale
         vals += vals.T
-        d = MetricMatrix(vals).values.tolist()
+        return MetricMatrix(vals)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_exhaustive_matches_all_triples(self, data):
+        m = self.draw_matrix(data, 0, 10)
+        n = m.n
+        d = m.values.tolist()
 
         def violates(a, b, c):
             lhs, rhs = d[a][c], d[a][b] + d[b][c]
@@ -238,11 +303,38 @@ class TestCheckMetric:
             triple for triple in itertools.combinations(range(n), 3)
             if any(violates(*o) for o in itertools.permutations(triple))
         }
-        with np.errstate(over="ignore"):
-            got = check_metric(MetricMatrix(vals), mode="exhaustive").violations
+        got = check_metric(m, mode="exhaustive").violations
         assert len({tuple(sorted(v)) for v in got}) == len(got)
         assert {tuple(sorted(v)) for v in got} == expected
         assert all(violates(*v) for v in got)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sampled_matches_per_triple_loop(self, data):
+        m = self.draw_matrix(data, 3, 12)
+        # up to twice C(12, 3): triples repeat, and 0 draws none
+        sample_triples = data.draw(st.integers(0, 440), label="sample_triples")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        got = check_metric(m, mode="sampled", sample_triples=sample_triples,
+                           seed=seed)
+        with np.errstate(over="ignore"):  # the loop's scalar sums overflow
+            want = sampled_check_metric(m, sample_triples, seed)
+        assert got.violations == want.violations
+        assert got.triples_checked == want.triples_checked
+
+    def test_overflowing_sums_warn_nothing(self):
+        # units of 2.5e307: a sum over 7 units passes the largest float;
+        # smaller sums stay finite and some of them are violated
+        upper = np.triu(np.random.default_rng(11).integers(0, 7, size=(8, 8)), 1)
+        vals = upper * 2.5e307
+        m = MetricMatrix(vals + vals.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exhaustive = check_metric(m, mode="exhaustive")
+            sampled = check_metric(m, mode="sampled", sample_triples=200)
+        found = {tuple(sorted(v)) for v in exhaustive.violations}
+        assert sampled.violations
+        assert {tuple(sorted(v)) for v in sampled.violations} <= found
 
 
 class TestIngest:
