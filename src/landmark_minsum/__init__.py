@@ -31,7 +31,9 @@ from .generate import (
     ideal_threshold,
     load_bundle,
     plant_landmarks,
+    read_target_labels,
     save_bundle,
+    write_labels_csv,
 )
 from .landmark import (
     Clustering,
@@ -54,9 +56,7 @@ from .metric import (
     QueryLedger,
     check_metric,
     ingest_similarity,
-    read_labels_csv,
     read_pair_file,
-    write_labels_csv,
 )
 from .sweep import (
     SweepResult,
@@ -73,7 +73,7 @@ __all__ = [
     "QueryLedger", "DistanceSource", "MatrixDistanceSource",
     "PointCloudDistanceSource", "MetricMatrix", "MetricReport",
     "check_metric", "ingest_similarity", "read_pair_file",
-    "read_labels_csv", "write_labels_csv", "INFINITE_DISTANCE",
+    "INFINITE_DISTANCE",
     # landmark algorithm
     "StabilityParams", "LandmarkTable", "Clustering",
     "sample_landmarks", "landmark_count_for", "build_landmark_table",
@@ -88,4 +88,5 @@ __all__ = [
     # instance generation
     "InstanceSpec", "Instance", "generate", "generate_adversarial",
     "plant_landmarks", "ideal_threshold", "save_bundle", "load_bundle",
+    "read_target_labels", "write_labels_csv",
 ]

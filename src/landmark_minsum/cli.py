@@ -117,12 +117,6 @@ def _clustering_payload(c: Clustering, params: dict, queries: int) -> dict:
     return payload
 
 
-def _load_clustering_json(path) -> Clustering:
-    with open(path) as fh:
-        data = json.load(fh)
-    return Clustering.from_dict(data)
-
-
 def cmd_generate(args) -> dict:
     seed = _resolve_seed(args)
     sizes = tuple(int(s) for s in args.sizes.split(","))
@@ -251,10 +245,10 @@ def cmd_baseline(args) -> dict:
 
 
 def cmd_evaluate(args) -> dict:
-    clustering = _load_clustering_json(args.clustering)
+    clustering = Clustering.read_json(args.clustering)
     matrix = _load_matrix(args) if args.input else None
     if args.against:
-        other = _load_clustering_json(args.against)
+        other = Clustering.read_json(args.against)
     elif args.labels:
         other = read_target_labels(args.labels, clustering.n)
     else:
@@ -305,7 +299,7 @@ def cmd_verify(args) -> dict:
     }
     if args.check_stability:
         verdict = verify_stability(
-            matrix, target, max(target.k, 1), stability, cap=args.brute_cap
+            matrix, target, target.k, stability, cap=args.brute_cap
         )
         out["stability_holds"] = verdict.holds
         if not verdict.holds:

@@ -139,7 +139,6 @@ class StructureReport:
     n: int
     params: StabilityParams
     cluster_sizes: list[int]
-    medians: list[int | None]
     w: float  # average weight, equals the balanced objective / n
     weights: np.ndarray
     second_weights: np.ndarray
@@ -147,8 +146,6 @@ class StructureReport:
     bad_points: list[int]
     b_observed: int
     core_diameter_bounds: list[float | None]
-    good_weight_cap: float
-    second_weight_floor: float
     separation_numerator: float
     single_cluster: bool = False
     outcome: VerifyOutcome | None = None  # set by verify_structure
@@ -226,7 +223,6 @@ def classify_points(
         n=n,
         params=params,
         cluster_sizes=sizes,
-        medians=medians,
         w=w,
         weights=weights,
         second_weights=second,
@@ -234,8 +230,6 @@ def classify_points(
         bad_points=bad,
         b_observed=len(bad),
         core_diameter_bounds=diam_bounds,
-        good_weight_cap=good_cap,
-        second_weight_floor=second_floor,
         separation_numerator=alpha * w / (5.0 * eps),
         single_cluster=len(nonempty) <= 1,
     )

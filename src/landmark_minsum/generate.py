@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, GenerationError, ParameterError
-from .evaluation import balanced_k_median
+from .evaluation import _members, balanced_k_median
 from .landmark import Clustering, StabilityParams
-from .metric import MetricMatrix, read_labels_csv, write_labels_csv
+from .metric import MetricMatrix, _label_sort_key
 
 # Declared effective size*diameter scale is this multiple of the requested
 # theta: generous enough that every core point classifies as good even with
@@ -340,23 +340,54 @@ def save_bundle(inst: Instance, directory) -> None:
         json.dump(meta, fh, indent=2)
 
 
+def write_labels_csv(path, labels_by_point) -> None:
+    """Write the `point_id,cluster_label` file, header line first."""
+    with open(path, "w") as fh:
+        fh.write("point_id,cluster_label\n")
+        for pid, lab in enumerate(labels_by_point):
+            fh.write(f"{pid},{lab}\n")
+
+
 def read_target_labels(path, n: int) -> Clustering:
     """The clustering a `point_id,cluster_label` file gives points 0..n-1.
 
-    Every point must have a label and no id may lie outside [0, n).
-    All-integer labels order the clusters numerically.
+    A first line whose id is not an integer is a header.  Every point must
+    have exactly one label and no id may lie outside [0, n).  Labels are
+    compared as written, so `7` and `007` are two clusters.  Clusters follow
+    the order `read_pair_file` gives ids: integer labels numerically, then
+    the others lexicographically.
     """
-    labels = read_labels_csv(path)
+    labels: dict[int, str] = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected 2 columns")
+            try:
+                pid = int(parts[0])
+            except ValueError:
+                if lineno == 1:
+                    continue  # header
+                raise DataError(f"{path}:{lineno}: bad point id {parts[0]!r}")
+            if pid in labels:
+                raise DataError(f"{path}:{lineno}: duplicate point id {pid}")
+            labels[pid] = parts[1]
+    if not labels:
+        raise DataError(f"{path}: empty label file")
     outside = sorted(p for p in labels if not 0 <= p < n)
     if outside:
         raise DataError(f"{path}: point id {outside[0]} outside [0,{n})")
     missing = [i for i in range(n) if i not in labels]
     if missing:
         raise DataError(f"{path}: label file misses point {missing[0]}")
-    lab_list = [labels[i] for i in range(n)]
-    if all(v.lstrip("-").isdigit() for v in lab_list):
-        lab_list = [int(v) for v in lab_list]
-    return Clustering.from_labels(lab_list, n=n)
+    order = sorted(set(labels.values()), key=_label_sort_key)
+    index = {lab: i for i, lab in enumerate(order)}
+    return Clustering(
+        n=n, clusters=_members([index[labels[p]] for p in range(n)], len(order))
+    )
 
 
 def load_bundle(directory) -> Instance:
@@ -369,14 +400,21 @@ def load_bundle(directory) -> Instance:
     cores: list[list[int]] = [list(c) for c in target.clusters]
     kind = "generated"
     if meta_path.exists():
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        if meta.get("spec"):
-            spec = InstanceSpec.from_dict(meta["spec"])
-        if meta.get("stability"):
-            stability = StabilityParams.from_dict(meta["stability"])
-        if meta.get("core_members"):
-            cores = [[int(x) for x in c] for c in meta["core_members"]]
-        kind = meta.get("kind", "generated")
+        try:
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+            if not isinstance(meta, dict):
+                raise DataError(f"{meta_path}: expected a JSON object")
+            if meta.get("spec"):
+                spec = InstanceSpec.from_dict(meta["spec"])
+            if meta.get("stability"):
+                stability = StabilityParams.from_dict(meta["stability"])
+            if meta.get("core_members"):
+                cores = [[int(x) for x in c] for c in meta["core_members"]]
+            kind = meta.get("kind", "generated")
+        except KeyError as exc:
+            raise DataError(f"{meta_path}: missing field {exc}") from None
+        except (TypeError, ValueError, ParameterError) as exc:
+            raise DataError(f"{meta_path}: bad instance JSON: {exc}") from None
     return Instance(matrix, target, cores, spec=spec, stability=stability,
                     kind=kind)

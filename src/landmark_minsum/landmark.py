@@ -8,6 +8,7 @@ exceeds the threshold T.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -184,20 +185,6 @@ class Clustering:
             missing = int(np.nonzero(~seen)[0][0])
             raise DataError(f"point {missing} missing from the clustering")
 
-    @classmethod
-    def from_labels(cls, labels, n: int | None = None, k: int | None = None):
-        labels = list(labels)
-        if n is None:
-            n = len(labels)
-        if len(labels) != n:
-            raise DataError(f"expected {n} labels, got {len(labels)}")
-        order = sorted(set(labels), key=lambda v: (str(type(v)), v))
-        index = {lab: i for i, lab in enumerate(order)}
-        clusters = [[] for _ in range(max(len(order), k or 0))]
-        for pid, lab in enumerate(labels):
-            clusters[index[lab]].append(pid)
-        return cls(n=n, clusters=[sorted(c) for c in clusters])
-
     def to_dict(self):
         out = {
             "n": self.n,
@@ -210,18 +197,26 @@ class Clustering:
         return out
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(
-            n=int(d["n"]),
-            clusters=[[int(x) for x in c] for c in d["clusters"]],
-            unassigned=[int(x) for x in d.get("unassigned", [])],
-            cluster_landmarks=(
-                [[int(x) for x in c] for c in d["cluster_landmarks"]]
-                if "cluster_landmarks" in d
-                else None
-            ),
-            warnings=list(d.get("warnings", [])),
-        )
+    def read_json(cls, path) -> "Clustering":
+        """Read a `to_dict` JSON file; a malformed one raises DataError."""
+        try:
+            with open(path) as fh:
+                d = json.load(fh)
+            return cls(
+                n=int(d["n"]),
+                clusters=[[int(x) for x in c] for c in d["clusters"]],
+                unassigned=[int(x) for x in d.get("unassigned", [])],
+                cluster_landmarks=(
+                    [[int(x) for x in c] for c in d["cluster_landmarks"]]
+                    if "cluster_landmarks" in d
+                    else None
+                ),
+                warnings=list(d.get("warnings", [])),
+            )
+        except KeyError as exc:
+            raise DataError(f"{path}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad clustering JSON: {exc}") from None
 
 
 def _validate_run(n: int, k: int, threshold: float) -> None:

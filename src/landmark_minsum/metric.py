@@ -143,11 +143,6 @@ class MetricMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def __eq__(self, other):
-        return isinstance(other, MetricMatrix) and np.array_equal(
-            self.values, other.values
-        )
-
     def to_csv(self, path) -> None:
         """Write `n` on the first line, then n rows of repr-exact values."""
         with open(path, "w") as fh:
@@ -280,6 +275,10 @@ def check_metric(
                 for i, k in np.argwhere(np.triu(bad, 1)):
                     violations.append((int(i), j, int(k)))
     elif mode == "sampled":
+        if sample_triples < 0:
+            raise ParameterError(
+                f"sample_triples must be non-negative, got {sample_triples}"
+            )
         if n < 3:
             return MetricReport(n, mode, 0, [])
         rng = np.random.default_rng(seed)
@@ -392,42 +391,10 @@ def read_pair_file(path):
 
 
 def _label_sort_key(label: str):
-    # numeric labels sort numerically so a dense 0..n-1 id space maps onto
+    # the one label order, for pair-file ids and label-file clusters alike:
+    # integer labels sort numerically so a dense 0..n-1 id space maps onto
     # itself; everything else sorts lexicographically after them
     try:
         return (0, int(label), label)
     except ValueError:
         return (1, 0, label)
-
-
-def write_labels_csv(path, labels_by_point) -> None:
-    """Write the `point_id,cluster_label` file, header line first."""
-    with open(path, "w") as fh:
-        fh.write("point_id,cluster_label\n")
-        for pid, lab in enumerate(labels_by_point):
-            fh.write(f"{pid},{lab}\n")
-
-
-def read_labels_csv(path) -> dict[int, str]:
-    """Read `point_id,cluster_label`, tolerating a header line."""
-    out: dict[int, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                pid = int(parts[0])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise DataError(f"{path}:{lineno}: bad point id {parts[0]!r}")
-            if pid in out:
-                raise DataError(f"{path}:{lineno}: duplicate point id {pid}")
-            out[pid] = parts[1]
-    if not out:
-        raise DataError(f"{path}: empty label file")
-    return out

@@ -377,6 +377,14 @@ def emit_pairs(m: MetricMatrix):
                 yield (a, b, 1.0 / d)
 
 
+def _partition(labels, n: int, k: int) -> Clustering:
+    """The k clusters, in label order, of a label tuple over 0..k-1."""
+    clusters: list[list[int]] = [[] for _ in range(k)]
+    for p, lab in enumerate(labels):
+        clusters[lab].append(p)
+    return Clustering(n=n, clusters=clusters)
+
+
 def brute_force_optimum(
     m: MetricMatrix,
     k: int,
@@ -398,7 +406,7 @@ def brute_force_optimum(
     score = OBJECTIVES[objective]
     best = None
     for labels in partitions_upto_k(n, k):
-        c = Clustering.from_labels(labels, n=n, k=k)
+        c = _partition(labels, n, k)
         val = score(c, m)
         if best is None or val.value < best[1].value:
             best = (c, val)
@@ -420,7 +428,7 @@ def two_pass_verify_stability(
     opt = best.value
     limit = (1.0 + params.alpha) * opt
     for labels in partitions_upto_k(n, k):
-        c = Clustering.from_labels(labels, n=n, k=k)
+        c = _partition(labels, n, k)
         val = OBJECTIVES[objective](c, m).value
         if val <= limit:
             dist = clustering_distance(c, target)

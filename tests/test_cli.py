@@ -220,6 +220,40 @@ class TestEvaluateCommand:
         assert payload["dist_to_target"] == 0.0
         assert payload["psi"] / 2.0 <= payload["phi"] <= payload["psi"]
 
+    def test_any_label_spelling_is_a_label(self, capsys, tmp_path):
+        # --3 is a string label; 7 and 007 are two clusters
+        labels = tmp_path / "labels.csv"
+        labels.write_text("point_id,cluster_label\n0,--3\n1,--3\n2,7\n3,007\n")
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps({"n": 4, "clusters": [[0, 1], [2, 3]]}))
+        code, stdout, _ = run_cli(
+            capsys, "evaluate", "--clustering", str(cpath), "--labels", str(labels)
+        )
+        assert code == 0
+        assert json.loads(stdout)["dist_to_target"] == 0.25
+
+    @pytest.mark.parametrize("flag", ["--clustering", "--against"])
+    @pytest.mark.parametrize("text", [
+        "not json", '{"clusters": [[0, 1]]}', '{"n": 2, "clusters": [[0, "x"]]}',
+        "[0, 1]",
+    ], ids=["not-json", "no-n", "bad-member", "not-object"])
+    def test_malformed_clustering_json_is_data_error(
+        self, capsys, tmp_path, text, flag
+    ):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"n": 2, "clusters": [[0, 1]]}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        clustering, against = (bad, good) if flag == "--clustering" else (good, bad)
+        code, _, err = run_cli(
+            capsys, "evaluate", "--clustering", str(clustering),
+            "--against", str(against),
+        )
+        assert code == 3
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert str(bad) in payload["message"]
+
     def test_requires_comparison_target(self, capsys, bundle_dir, tmp_path):
         out, inst = bundle_dir
         cpath = tmp_path / "c.json"
@@ -237,6 +271,21 @@ class TestVerifyCommand:
         assert payload["structure"] == {"part1": True, "part2": True,
                                         "part3": True}
         assert payload["metric_check"]["violations"] == 0
+
+    @pytest.mark.parametrize("text", [
+        "not json", '{"spec": {"theta": 1}}', '{"stability": {"alpha": 1}}',
+        '{"core_members": [["x"]]}', '{"spec": {"sizes": [0], "theta": 1}}',
+        "[1]",
+    ], ids=["not-json", "spec-no-sizes", "stability-no-epsilon",
+            "bad-core-member", "spec-out-of-range", "not-object"])
+    def test_malformed_instance_json_is_data_error(self, capsys, bundle_dir, text):
+        out, _ = bundle_dir
+        (out / "instance.json").write_text(text)
+        code, _, err = run_cli(capsys, "verify", "--input", str(out))
+        assert code == 3
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert str(out / "instance.json") in payload["message"]
 
     def test_stability_check_on_tiny_instance(self, capsys, tmp_path):
         inst = generate(InstanceSpec(sizes=(5, 4), theta=1.5, seed=11))

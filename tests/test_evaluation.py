@@ -361,7 +361,10 @@ class TestSingleWalkMatchesTwoPass:
         labels = data.draw(
             st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
         )
-        target = Clustering.from_labels(labels, n=n)
+        target = Clustering(n=n, clusters=[
+            [p for p, lab in enumerate(labels) if lab == v]
+            for v in sorted(set(labels))
+        ])
         params = StabilityParams(alpha=alpha, epsilon=epsilon)
         self.check(m, target, k, params, objective)
 

@@ -20,8 +20,8 @@ from landmark_minsum import (
     check_metric,
     embed_kmeans_baseline,
     ingest_similarity,
-    read_labels_csv,
     read_pair_file,
+    read_target_labels,
     write_labels_csv,
 )
 from landmark_minsum.metric import _TRIANGLE_REL_TOL
@@ -261,6 +261,11 @@ class TestCheckMetric:
         assert report.ok
         assert report.triples_checked == 2000
 
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(ParameterError, match="sample_triples"):
+            check_metric(random_metric(50, 2, seed=7), mode="sampled",
+                         sample_triples=-5)
+
     def test_infinite_entries_not_counted(self):
         vals = np.zeros((3, 3))
         vals[0, 1] = vals[1, 0] = 1.0
@@ -404,6 +409,39 @@ class TestPairAndLabelFiles:
 
     def test_labels_csv_round_trip(self, tmp_path):
         path = tmp_path / "labels.csv"
-        write_labels_csv(path, [0, 1, 1, 0])
-        got = read_labels_csv(path)
-        assert got == {0: "0", 1: "1", 2: "1", 3: "0"}
+        for labels, clusters in (
+            ([0, 1, 1, 0], [[0, 3], [1, 2]]),
+            (["b", "a", "b", "c"], [[1], [0, 2], [3]]),
+        ):
+            write_labels_csv(path, labels)
+            assert path.read_text().startswith("point_id,cluster_label\n")
+            assert read_target_labels(path, 4).clusters == clusters
+
+    def test_label_file_orders_labels_like_pair_ids(self, tmp_path):
+        # 7 and 007 are two labels, --3 is not an integer, and integer
+        # labels come first in numeric order
+        names = ["b", "007", "--3", "10", "7", "-3", "9", "a"]
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(
+            "".join(f"{a}\t{b}\t1\n" for a, b in zip(names, names[1:]))
+        )
+        _, ids = read_pair_file(pairs)
+        assert ids == ["-3", "007", "7", "9", "10", "--3", "a", "b"]
+        labels = tmp_path / "labels.csv"
+        write_labels_csv(labels, names)
+        clusters = read_target_labels(labels, len(names)).clusters
+        assert [names[c[0]] for c in clusters] == ids
+        assert all(len(c) == 1 for c in clusters)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty label file"),
+        ("point_id,cluster_label\n", "empty label file"),
+        ("0,a\n1,a,b\n", ":2: expected 2 columns"),
+        ("0,a\nx,b\n", ":2: bad point id 'x'"),
+        ("0,a\n1,b\n0,c\n", ":3: duplicate point id 0"),
+    ])
+    def test_label_file_faults_are_data_errors(self, tmp_path, text, message):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            read_target_labels(path, 2)
