@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import DataError, LandmarkMinsumError, ParameterError
+from .errors import DataError, LandmarkMinsumError, ParameterError, open_input
 from .evaluation import (
     DEFAULT_BRUTE_CAP,
     balanced_k_median,
@@ -91,7 +91,7 @@ def _load_matrix(args) -> MetricMatrix:
     path = args.input
     if path is None:
         raise ParameterError("--input is required")
-    with open(path) as fh:
+    with open_input(path) as fh:
         first = fh.readline().strip()
     if first.isdigit():  # a matrix CSV starts with its point count
         return MetricMatrix.from_csv(path)

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and `open_input`, the
+one way the readers open an input file.
 
 The CLI maps them to exit codes in `cli._EXIT_CODES`: ParameterError -> 2,
 DataError -> 3.
 """
+
+from contextlib import contextmanager
 
 
 class LandmarkMinsumError(Exception):
@@ -27,3 +30,15 @@ class GenerationError(ParameterError):
 
 class InvariantViolation(DataError):
     """An internal contract did not hold (e.g. no clustered landmark exists)."""
+
+
+@contextmanager
+def open_input(path):
+    """Open an input file for reading; one that cannot be opened (missing,
+    a directory, unreadable) is a DataError naming the path."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc.strerror}") from None
+    with fh:
+        yield fh

@@ -100,28 +100,49 @@ def clustering_distance(c1: Clustering, c2: Clustering) -> float:
     return _labels_distance(c1.labels(), c2.labels(), k, c1.n)
 
 
-def partitions_upto_k(n: int, k: int):
-    """All partitions of range(n) into at most k non-empty blocks.
+# a chunk of the exhaustive walk is one label head and every tail that can
+# follow it; tails of 5 labels keep a chunk under 40k rows up to k = 12
+_TAIL = 5
 
-    Yields restricted-growth label tuples in lexicographic order (blocks
-    numbered by first appearance), which doubles as the deterministic
-    tie-break order of the exhaustive walks.
+
+def _grow(rows: np.ndarray, used: np.ndarray, steps: int, k: int):
+    """Append `steps` labels to restricted-growth rows that use `used`
+    blocks so far, keeping at most k blocks and the lexicographic order."""
+    for _ in range(steps):
+        fan = np.minimum(used + 1, k)  # the next label runs over 0..fan-1
+        parent = np.repeat(np.arange(len(rows)), fan)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+        rows = np.column_stack([rows[parent], label])
+        used = np.maximum(used[parent], label + 1)
+    return rows, used
+
+
+def partition_chunks(n: int, k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """All partitions of range(n) into at most k non-empty blocks, in chunks.
+
+    Returns (heads, tails).  A partition is a restricted-growth label row
+    (blocks numbered by first appearance): a row of `heads` followed by a
+    row of `tails[c]`, where c is the number of blocks the head uses.  Heads
+    and the tails of each c are in lexicographic order, so reading head by
+    head and tail by tail gives every partition once in lexicographic
+    order, which doubles as the tie-break order of the exhaustive walk.
     """
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
+    t = min(n - 1, _TAIL)
+    heads, used = _grow(
+        np.zeros((1, 1), np.int64), np.ones(1, np.int64), n - 1 - t, k
+    )
+    tails = {
+        c: _grow(np.zeros((1, 0), np.int64), np.array([c]), t, k)[0]
+        for c in sorted(set(used.tolist()))
+    }
+    return heads, tails
 
-    def rec(i: int, m: int):
-        if i == n:
-            yield tuple(a)
-            return
-        top = min(m + 1, k - 1)
-        for v in range(top + 1):
-            a[i] = v
-            yield from rec(i + 1, max(m, v))
 
-    yield from rec(1, 0)
+def _block_masks(rows: np.ndarray, k: int, first_bit: int) -> np.ndarray:
+    """Row j holds, per label row, the bit mask of the points labelled j;
+    column q of `rows` is point first_bit + q."""
+    bits = np.left_shift(1, np.arange(first_bit, first_bit + rows.shape[1]))
+    return np.stack([((rows == j) * bits).sum(axis=1) for j in range(k)])
 
 
 def _members(labels, k: int) -> list[list[int]]:
@@ -346,29 +367,43 @@ def verify_stability(
     _require_partition(target, m.n)
     score = _OBJECTIVES[objective]
     d = m.values
+    # w[mask]: the one-block score of each subset, scored once; k = 1 has
+    # one block, any larger k puts every subset in some partition
+    full = (1 << n) - 1
+    w = np.zeros(full + 1)
+    for mask in range(1, full + 1) if k > 1 else [full]:
+        w[mask] = score([[p for p in range(n) if mask >> p & 1]], d).value
+    # a partition scores w over its blocks in label order (an empty block
+    # reads w[0] = 0.0), the IEEE order of the objective's own running sum
+    heads, tails = partition_chunks(n, k)
+    used = (heads.max(axis=1) + 1).tolist()
+    head_masks = _block_masks(heads, k, 0)
+    tail_masks = {c: _block_masks(t, k, heads.shape[1]) for c, t in tails.items()}
+    offsets = np.cumsum([0] + [len(tails[c]) for c in used]).tolist()
     # one score per partition (8 bytes each), then a replay of the walk
     # beside them: the first partition within the limit and too far from
     # the target is the counterexample
-    scores = np.fromiter(
-        (score(_members(labels, k), d).value
-         for labels in partitions_upto_k(n, k)),
-        dtype=np.float64,
-    )
+    scores = np.empty(offsets[-1])
+    for i, c in enumerate(used):
+        chunk = scores[offsets[i]:offsets[i + 1]]
+        np.take(w, head_masks[0, i] | tail_masks[c][0], out=chunk)
+        for j in range(1, k):
+            chunk += w[head_masks[j, i] | tail_masks[c][j]]
     opt = float(scores.min())
-    within = scores <= (1.0 + params.alpha) * opt
+    limit = (1.0 + params.alpha) * opt
     kk = max(k, target.k)
     target_labels = target.labels()
-    for i, labels in enumerate(partitions_upto_k(n, k)):
-        if within[i]:
-            dist = _labels_distance(
-                np.asarray(labels, dtype=np.int64), target_labels, kk, n
-            )
+    for i, c in enumerate(used):
+        start = offsets[i]
+        for r in np.flatnonzero(scores[start:offsets[i + 1]] <= limit).tolist():
+            labels = np.concatenate([heads[i], tails[c][r]])
+            dist = _labels_distance(labels, target_labels, kk, n)
             if not dist < params.epsilon:
                 return StabilityVerdict(
                     holds=False,
                     optimum=opt,
                     counterexample=Clustering(n=n, clusters=_members(labels, k)),
-                    counterexample_value=float(scores[i]),
+                    counterexample_value=float(scores[start + r]),
                     counterexample_distance=dist,
                 )
     return StabilityVerdict(holds=True, optimum=opt)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, GenerationError, ParameterError
+from .errors import DataError, GenerationError, ParameterError, open_input
 from .evaluation import _members, balanced_k_median
 from .landmark import Clustering, StabilityParams
 from .metric import MetricMatrix, _label_sort_key
@@ -358,7 +358,7 @@ def read_target_labels(path, n: int) -> Clustering:
     the others lexicographically.
     """
     labels: dict[int, str] = {}
-    with open(path) as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -401,7 +401,7 @@ def load_bundle(directory) -> Instance:
     kind = "generated"
     if meta_path.exists():
         try:
-            with open(meta_path) as fh:
+            with open_input(meta_path) as fh:
                 meta = json.load(fh)
             if not isinstance(meta, dict):
                 raise DataError(f"{meta_path}: expected a JSON object")

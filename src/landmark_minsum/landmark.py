@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, InvariantViolation, ParameterError
+from .errors import DataError, InvariantViolation, ParameterError, open_input
 from .metric import DistanceSource
 
 INF = math.inf
@@ -136,6 +136,13 @@ def build_landmark_table(source: DistanceSource, landmark_ids) -> LandmarkTable:
     )
 
 
+def _non_negative_int(x) -> int:
+    # json reads integers as int; bool is an int subclass but not an id
+    if type(x) is not int or x < 0:
+        raise ValueError(f"{x!r} is not a non-negative integer")
+    return x
+
+
 @dataclass
 class Clustering:
     """A (possibly partial) partition of points 0..n-1 into ordered clusters.
@@ -198,16 +205,20 @@ class Clustering:
 
     @classmethod
     def read_json(cls, path) -> "Clustering":
-        """Read a `to_dict` JSON file; a malformed one raises DataError."""
+        """Read a `to_dict` JSON file; a malformed one raises DataError.
+
+        `n` and every point id must be a non-negative JSON integer: `1.7`,
+        `"1"` or `true` is not read as a point.
+        """
         try:
-            with open(path) as fh:
+            with open_input(path) as fh:
                 d = json.load(fh)
             return cls(
-                n=int(d["n"]),
-                clusters=[[int(x) for x in c] for c in d["clusters"]],
-                unassigned=[int(x) for x in d.get("unassigned", [])],
+                n=_non_negative_int(d["n"]),
+                clusters=[[_non_negative_int(x) for x in c] for c in d["clusters"]],
+                unassigned=[_non_negative_int(x) for x in d.get("unassigned", [])],
                 cluster_landmarks=(
-                    [[int(x) for x in c] for c in d["cluster_landmarks"]]
+                    [[_non_negative_int(x) for x in c] for c in d["cluster_landmarks"]]
                     if "cluster_landmarks" in d
                     else None
                 ),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, DataError, ParameterError
+from .errors import BudgetExhaustedError, DataError, ParameterError, open_input
 
 logger = logging.getLogger(__name__)
 
@@ -158,7 +158,7 @@ class MetricMatrix:
 
         Blank lines are skipped and whitespace around values is ignored.
         """
-        with open(path) as fh:
+        with open_input(path) as fh:
             header = fh.readline().strip()
             try:
                 n = int(header)
@@ -366,7 +366,7 @@ def read_pair_file(path):
     (pairs with dense integer ids, label list in id order).
     """
     raw = []
-    with open(path) as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -8,10 +8,12 @@ stream sweep of `cluster_min_sum` over continuous radii, and
 `loop_stream_min_sum` is the cursor-and-peek loop the single-pass kernel
 replaced.  `sampled_check_metric` is the per-triple loop the sampled
 triangle audit vectorises.  `emit_pairs` inverts `ingest_similarity`.
-`brute_force_optimum` and `two_pass_verify_stability` score every partition
-through the public objectives; the second walks the partitions twice, once
-for the optimum and once for the first counterexample, where
-`verify_stability` scores each partition once and replays the walk.
+`partitions_upto_k` is the recursive generator of the restricted-growth
+label rows that `partition_chunks` builds in numpy.  `brute_force_optimum`
+and `two_pass_verify_stability` score every partition through the public
+objectives; the second walks the partitions twice, once for the optimum and
+once for the first counterexample, where `verify_stability` scores each
+subset once, sums those scores per partition and replays the walk.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from landmark_minsum import (
     clustering_distance,
     min_sum,
 )
-from landmark_minsum.evaluation import DEFAULT_BRUTE_CAP, partitions_upto_k
+from landmark_minsum.evaluation import DEFAULT_BRUTE_CAP
 from landmark_minsum.landmark import _validate_run
 from landmark_minsum.metric import _TRIANGLE_REL_TOL
 
@@ -375,6 +377,30 @@ def emit_pairs(m: MetricMatrix):
             d = m.values[a, b]
             if np.isfinite(d) and d > 0:
                 yield (a, b, 1.0 / d)
+
+
+def partitions_upto_k(n: int, k: int):
+    """All partitions of range(n) into at most k non-empty blocks.
+
+    Yields restricted-growth label tuples in lexicographic order (blocks
+    numbered by first appearance), which doubles as the deterministic
+    tie-break order of the exhaustive walks.
+    """
+    if n == 0:
+        yield ()
+        return
+    a = [0] * n
+
+    def rec(i: int, m: int):
+        if i == n:
+            yield tuple(a)
+            return
+        top = min(m + 1, k - 1)
+        for v in range(top + 1):
+            a[i] = v
+            yield from rec(i + 1, max(m, v))
+
+    yield from rec(1, 0)
 
 
 def _partition(labels, n: int, k: int) -> Clustering:

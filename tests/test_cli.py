@@ -235,8 +235,10 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("flag", ["--clustering", "--against"])
     @pytest.mark.parametrize("text", [
         "not json", '{"clusters": [[0, 1]]}', '{"n": 2, "clusters": [[0, "x"]]}',
-        "[0, 1]",
-    ], ids=["not-json", "no-n", "bad-member", "not-object"])
+        "[0, 1]", '{"n": 2, "clusters": [[0, 1.7]]}',
+        '{"n": 2, "clusters": [[0, true]]}', '{"n": -1, "clusters": []}',
+    ], ids=["not-json", "no-n", "bad-member", "not-object", "float-member",
+            "bool-member", "negative-n"])
     def test_malformed_clustering_json_is_data_error(
         self, capsys, tmp_path, text, flag
     ):
@@ -340,6 +342,31 @@ class TestVerifyCommand:
             capsys, "verify", "--input", path, "--labels", str(labels)
         )
         assert code == 2
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize("reader", ["matrix", "labels", "clustering", "bundle"])
+    def test_missing_file_is_data_error(self, capsys, bundle_dir, tmp_path, reader):
+        out, inst = bundle_dir
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"n": inst.n, "clusters": [list(range(inst.n))]}))
+        missing = tmp_path / "missing"
+        argv = {
+            "matrix": ["verify", "--input", str(missing)],
+            "labels": ["evaluate", "--clustering", str(good),
+                       "--labels", str(missing)],
+            "clustering": ["evaluate", "--clustering", str(missing),
+                           "--against", str(good)],
+            "bundle": ["verify", "--input", str(out)],
+        }[reader]
+        if reader == "bundle":
+            missing = out / "matrix.csv"
+            missing.unlink()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert f"{missing}: cannot open" in payload["message"]
 
 
 class TestIngestCommand:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from landmark_minsum import (
     verify_structure,
 )
 from landmark_minsum import evaluation
-from landmark_minsum.evaluation import partitions_upto_k
+from landmark_minsum.evaluation import partition_chunks
 
 from conftest import (
     bijection_distance_oracle,
@@ -35,7 +36,21 @@ from conftest import (
     random_partition,
     random_symmetric,
 )
-from oracles import brute_force_optimum, two_pass_verify_stability
+from oracles import (
+    brute_force_optimum,
+    partitions_upto_k,
+    two_pass_verify_stability,
+)
+
+
+def chunk_rows(n: int, k: int) -> list[tuple[int, ...]]:
+    """The label rows of `partition_chunks`, head by head and tail by tail."""
+    heads, tails = partition_chunks(n, k)
+    return [
+        tuple(head) + tuple(tail)
+        for head in heads.tolist()
+        for tail in tails[max(head) + 1].tolist()
+    ]
 
 
 class TestMinSum:
@@ -195,7 +210,12 @@ class TestBruteForce:
 
     def test_partition_count(self):
         # Stirling S(5,1)+S(5,2)+S(5,3) = 1 + 15 + 25
-        assert sum(1 for _ in partitions_upto_k(5, 3)) == 41
+        assert len(chunk_rows(5, 3)) == 41
+
+    def test_chunks_match_recursive_generator(self):
+        for n in range(1, 10):
+            for k in range(1, n + 1):
+                assert chunk_rows(n, k) == list(partitions_upto_k(n, k)), (n, k)
 
 
 class TestClassifyAndStructure:
@@ -300,11 +320,21 @@ def stirling_partition_count(n: int, k: int) -> int:
 def small_metrics(draw):
     """Metrics on n <= 8 points: L1 distances on a 4 x 4 integer grid (ties
     and duplicate points), a few sites repeated, two components at +inf
-    distance, or the uniform adversarial metric."""
-    n = draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["grid", "duplicates", "inf", "uniform"]))
+    distance, the uniform adversarial metric, Euclidean distances between
+    random real points (where the order of a sum shows in the last bit), or
+    signed zeros everywhere.  Real points come six or more at a time: a sum
+    over blocks changes with its order only from three blocks of two on."""
+    kind = draw(st.sampled_from(
+        ["grid", "duplicates", "inf", "uniform", "float", "signed_zero"]
+    ))
+    n = draw(st.integers(6 if kind == "float" else 1, 8))
     if kind == "uniform":
         return generate_adversarial("uniform", n=n, k=1).matrix
+    if kind == "signed_zero":
+        return MetricMatrix(np.full((n, n), -0.0))
+    if kind == "float":
+        # hypothesis favours round floats, whose sums are exact in any order
+        return random_metric(n, 2, seed=draw(st.integers(0, 2**32 - 1)))
     site = st.tuples(st.integers(0, 3), st.integers(0, 3))
     if kind == "duplicates":
         sites = draw(st.lists(site, min_size=1, max_size=3))
@@ -320,30 +350,34 @@ def small_metrics(draw):
 
 
 class TestSingleWalkMatchesTwoPass:
-    """`verify_stability` scores each partition once and replays the walk;
-    the oracle walks twice and scores through the public objectives."""
+    """`verify_stability` scores each subset once, sums those scores per
+    partition and replays the walk; the oracle walks twice and scores every
+    partition through the public objectives."""
 
     @staticmethod
     def check(m, target, k, params, objective):
         want = two_pass_verify_stability(m, target, k, params, objective)
-        calls = []
+        scored = []
         score = evaluation._OBJECTIVES[objective]
 
         def counted(clusters, d):
-            calls.append(1)
+            scored.extend(tuple(members) for members in clusters)
             return score(clusters, d)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(evaluation._OBJECTIVES, objective, counted)
             got = verify_stability(m, target, k, params, objective=objective)
-        assert len(calls) == stirling_partition_count(m.n, k)
+        assert len(set(scored)) == len(scored) <= 2**m.n - 1
+        # repr tells -0.0 from 0.0 and is exact for every other float
         assert got.holds == want.holds
-        assert got.optimum == want.optimum
+        assert repr(got.optimum) == repr(want.optimum)
         if want.holds:
             assert got.counterexample is None
         else:
             assert got.counterexample.clusters == want.counterexample.clusters
-            assert got.counterexample_value == want.counterexample_value
+            assert repr(got.counterexample_value) == repr(
+                want.counterexample_value
+            )
             assert got.counterexample_distance == want.counterexample_distance
         return got
 
@@ -368,11 +402,38 @@ class TestSingleWalkMatchesTwoPass:
         params = StabilityParams(alpha=alpha, epsilon=epsilon)
         self.check(m, target, k, params, objective)
 
+    @pytest.mark.parametrize("objective", ["min_sum", "balanced_k_median"])
+    def test_real_points_sum_blocks_in_label_order(self, objective):
+        # four blocks over eight random real points: a sum in any other
+        # order changes the last bit of most optima
+        for seed in range(6):
+            m = random_metric(8, 2, seed=seed)
+            target = Clustering(n=8, clusters=[[0, 1, 2, 3], [4, 5, 6, 7]])
+            params = StabilityParams(alpha=0.5, epsilon=0.2)
+            self.check(m, target, 4, params, objective)
+
     def test_uniform_control(self):
         inst = generate_adversarial("uniform", n=9, k=2, seed=0)
         params = StabilityParams(alpha=1.0, epsilon=0.2)
         got = self.check(inst.matrix, inst.target, 2, params, "balanced_k_median")
         assert not got.holds
+
+    def test_memory_beside_the_scores_is_bounded(self):
+        # Bell(11) = 678,570 partitions: the walk keeps their 8-byte scores
+        # and generates their labels chunk by chunk; a full (P, n) label
+        # array alone would take P * n * 8 bytes = 60 MB
+        n = 11
+        m = random_metric(n, 2, seed=12)
+        target = Clustering(n=n, clusters=[[p] for p in range(n)])
+        params = StabilityParams(alpha=1.0, epsilon=0.2)
+        verify_stability(m, target, 2, params)  # imports scipy untraced
+        tracemalloc.start()
+        try:
+            assert verify_stability(m, target, n, params).holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * stirling_partition_count(n, n) + 16 * 2**20
 
 
 class TestObjectiveSandwich:
