@@ -101,6 +101,8 @@ def _load_matrix(args) -> MetricMatrix:
 
 def _stability_from(args) -> StabilityParams | None:
     if args.alpha is None and args.epsilon is None:
+        if args.delta is not None:
+            raise ParameterError("--delta needs --alpha and --epsilon")
         return None
     if args.alpha is None or args.epsilon is None:
         raise ParameterError("--alpha and --epsilon must be given together")
@@ -118,6 +120,8 @@ def _clustering_payload(c: Clustering, params: dict, queries: int) -> dict:
 
 
 def cmd_generate(args) -> dict:
+    if args.output is None:
+        raise ParameterError("generate needs --output DIRECTORY")
     seed = _resolve_seed(args)
     sizes = tuple(int(s) for s in args.sizes.split(","))
     spec = InstanceSpec(
@@ -129,8 +133,6 @@ def cmd_generate(args) -> dict:
         seed=seed,
     )
     inst = generate(spec)
-    if args.output is None:
-        raise ParameterError("generate needs --output DIRECTORY")
     save_bundle(inst, args.output)
     bundle_dir = args.output
     args.output = None  # bundle owns the path; summary goes to stdout
@@ -312,10 +314,10 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_ingest(args) -> dict:
-    pairs, labels = read_pair_file(args.input)
-    matrix = ingest_similarity(pairs, policy=args.policy)
     if args.output is None:
         raise ParameterError("ingest needs --output for the matrix CSV")
+    pairs, labels = read_pair_file(args.input)
+    matrix = ingest_similarity(pairs, policy=args.policy)
     matrix.to_csv(args.output)
     matrix_path = args.output
     args.output = None  # matrix owns the path; summary goes to stdout

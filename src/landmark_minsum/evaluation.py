@@ -77,15 +77,58 @@ def balanced_k_median(c: Clustering, m: MetricMatrix) -> ObjectiveValue:
     return _balanced_k_median_of(c.clusters, m.values)
 
 
-def _labels_distance(lab1: np.ndarray, lab2: np.ndarray, k: int, n: int) -> float:
-    # imported here so that importing the package (and the CLI) skips scipy
-    from scipy.optimize import linear_sum_assignment
+def _max_agreement(table: np.ndarray) -> int:
+    """Largest sum of entries of a non-negative integer table, taking at
+    most one entry per row and per column.
 
+    Rows and columns of zeros add nothing and are dropped, and the rest is
+    turned to have no more rows than columns.  The Hungarian method with
+    row and column potentials then matches every row, O(rows^2 x columns):
+    rows join one at a time, each along a shortest augmenting path in
+    reduced costs of `-table`.  Integer costs keep every potential exact.
+    """
+    table = table[table.any(axis=1)][:, table.any(axis=0)]
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    r, c = table.shape
+    # rows and columns count from 1; column 0 roots each augmenting path
+    cost = np.zeros((r + 1, c + 1), dtype=np.int64)
+    cost[1:, 1:] = -table
+    unreached = np.iinfo(np.int64).max
+    u = np.zeros(r + 1, dtype=np.int64)  # row potentials
+    v = np.zeros(c + 1, dtype=np.int64)  # column potentials
+    row_of = np.zeros(c + 1, dtype=np.intp)  # row matched to a column, 0 = none
+    way = np.zeros(c + 1, dtype=np.intp)  # previous column on the path
+    for i in range(1, r + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = np.full(c + 1, unreached)
+        used = np.zeros(c + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            cur = cost[i0] - u[i0] - v
+            better = ~used & (cur < minv)
+            minv[better] = cur[better]
+            way[better] = j0
+            j1 = int(np.argmin(np.where(used, unreached, minv)))
+            delta = minv[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    cols = np.flatnonzero(row_of[1:])
+    return int(table[row_of[1:][cols] - 1, cols].sum())
+
+
+def _labels_distance(lab1: np.ndarray, lab2: np.ndarray, k: int, n: int) -> float:
     table = np.zeros((k, k), dtype=np.int64)
     np.add.at(table, (lab1, lab2), 1)
-    rows, cols = linear_sum_assignment(-table)
-    agreed = int(table[rows, cols].sum())
-    return (n - agreed) / n
+    return (n - _max_agreement(table)) / n
 
 
 def clustering_distance(c1: Clustering, c2: Clustering) -> float:

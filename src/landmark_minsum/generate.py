@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError, GenerationError, ParameterError, open_input
 from .evaluation import _members, balanced_k_median
 from .landmark import Clustering, StabilityParams
-from .metric import MetricMatrix, _label_sort_key
+from .metric import MetricMatrix, _label_sort_key, euclidean_rows
 
 # Declared effective size*diameter scale is this multiple of the requested
 # theta: generous enough that every core point classifies as good even with
@@ -183,10 +183,7 @@ def _sample_ball(center: np.ndarray, radius: float, count: int, rng) -> np.ndarr
 
 
 def _euclidean_matrix(points: np.ndarray) -> MetricMatrix:
-    # imported here so that importing the package (and the CLI) skips scipy
-    from scipy.spatial.distance import pdist, squareform
-
-    return MetricMatrix(squareform(pdist(points)))
+    return MetricMatrix(euclidean_rows(points, slice(None)))
 
 
 def generate(spec: InstanceSpec) -> Instance:

@@ -104,10 +104,26 @@ class PointCloudDistanceSource(DistanceSource):
         self.points = points
 
     def _row(self, s: int) -> np.ndarray:
-        diff = self.points - self.points[s]
-        row = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        row[s] = 0.0
-        return row
+        return euclidean_rows(self.points, slice(s, s + 1))[0]
+
+
+def euclidean_rows(points: np.ndarray, rows: slice) -> np.ndarray:
+    """Euclidean distances from each point in `points[rows]` to every point.
+
+    Squared differences are added one coordinate at a time, in coordinate
+    order, so entry (i, j) is the same float whether one row or the full
+    matrix is computed: a queried point-cloud row equals that row of a
+    generated matrix bit for bit.  (One-shot `einsum` or
+    `(diff * diff).sum(-1)` reductions reorder the additions and change
+    the last bits from about 8 coordinates on.)
+    """
+    shape = (points[rows].shape[0], points.shape[0])
+    acc = np.zeros(shape)
+    tmp = np.empty(shape)
+    for c in points.T:
+        np.subtract(c[rows, None], c[None, :], out=tmp)
+        acc += np.square(tmp, out=tmp)
+    return np.sqrt(acc, out=acc)
 
 
 class MetricMatrix:
@@ -362,10 +378,12 @@ def ingest_similarity(
 def read_pair_file(path):
     """Read a similarity TSV `id_a  id_b  bit_score`.
 
-    A header line is detected by a non-numeric third column.  Returns
-    (pairs with dense integer ids, label list in id order).
+    The first non-blank, non-comment line is a header if its third column
+    is non-numeric; a non-numeric score on any later line is a DataError.
+    Returns (pairs with dense integer ids, label list in id order).
     """
     raw = []
+    first = True
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -374,11 +392,12 @@ def read_pair_file(path):
             parts = line.split("\t") if "\t" in line else line.split()
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected 3 columns")
+            may_be_header, first = first, False
             try:
                 score = float(parts[2])
             except ValueError:
-                if lineno == 1 or not raw:
-                    continue  # header
+                if may_be_header:
+                    continue
                 raise DataError(f"{path}:{lineno}: bad bit score {parts[2]!r}")
             raw.append((parts[0], parts[1], score))
     if not raw:

@@ -50,7 +50,9 @@ class TestGenerateCommand:
         assert (out / "labels.csv").exists()
         assert (out / "instance.json").exists()
 
-    def test_missing_output_is_parameter_error(self, capsys):
+    def test_missing_output_is_parameter_error(self, capsys, monkeypatch):
+        # refused before any point is generated
+        monkeypatch.setattr("landmark_minsum.cli.generate", pytest.fail)
         code, _, err = run_cli(
             capsys, "generate", "--sizes", "5,5", "--theta", "1.0"
         )
@@ -344,6 +346,26 @@ class TestVerifyCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--input", "{matrix}", "--k", "3", "--landmarks", "4",
+     "--threshold", "5"],
+    ["sweep", "--input", "{matrix}", "--k", "3", "--landmarks", "4",
+     "--stop-bound", "3"],
+    ["verify", "--input", "{bundle}"],
+], ids=["cluster", "sweep", "verify"])
+def test_delta_without_alpha_and_epsilon_is_parameter_error(
+    capsys, bundle_dir, argv
+):
+    # --delta alone used to be dropped, so verify reported delta 0.05
+    out, _ = bundle_dir
+    argv = [a.format(matrix=out / "matrix.csv", bundle=out) for a in argv]
+    code, _, err = run_cli(capsys, *argv, "--delta", "0.5")
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ParameterError"
+    assert "--delta" in payload["message"]
+
+
 class TestMissingInput:
     @pytest.mark.parametrize("reader", ["matrix", "labels", "clustering", "bundle"])
     def test_missing_file_is_data_error(self, capsys, bundle_dir, tmp_path, reader):
@@ -385,6 +407,13 @@ class TestIngestCommand:
         assert m.values[1, 2] == 0.04
         assert math.isinf(m.values[0, 2])
         assert "a" in ids.read_text()
+
+    def test_missing_output_is_refused_before_reading(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "ingest", "--input", str(tmp_path / "absent.tsv")
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "ParameterError"
 
     def test_bad_file_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -438,14 +467,48 @@ class TestPipeline:
         assert dist <= bound
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy costs about half a second per start; only evaluate, generate and
-    # verify --check-stability import it, on first use
+# every subcommand once, at n <= 200, in a process where importing scipy fails
+_NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None
+from importlib import resources
+from pathlib import Path
+from landmark_minsum.cli import main
+
+tmp = Path(sys.argv[1])
+tsv = resources.files("landmark_minsum").joinpath("data/toy_scores.tsv")
+runs = [
+    ["generate", "--sizes", "40,30,20", "--theta", "5", "--bad-fraction",
+     "0.02", "--seed", "8", "--output", tmp / "b3"],
+    ["generate", "--sizes", "10,10,10,10,10,10,10,10", "--theta", "5",
+     "--seed", "3", "--output", tmp / "b8"],
+    ["generate", "--sizes", "5,4", "--theta", "1.5", "--seed", "11",
+     "--output", tmp / "tiny"],
+    ["cluster", "--input", tmp / "b8/matrix.csv", "--k", "8",
+     "--landmarks", "16", "--threshold", "5", "--output", tmp / "c.json"],
+    ["sweep", "--input", tmp / "b3/matrix.csv", "--k", "3",
+     "--landmarks", "8", "--stop-bound", "5"],
+    ["baseline", "--input", tmp / "b8/matrix.csv", "--k", "8",
+     "--landmarks", "16", "--output", tmp / "base.json"],
+    ["evaluate", "--clustering", tmp / "c.json", "--labels",
+     tmp / "b8/labels.csv", "--input", tmp / "b8/matrix.csv"],
+    ["evaluate", "--clustering", tmp / "c.json", "--against",
+     tmp / "base.json"],
+    ["verify", "--input", tmp / "tiny", "--check-stability"],
+    ["ingest", "--input", tsv, "--output", tmp / "toy.csv"],
+]
+for argv in runs:
+    code = main([str(a) for a in argv])
+    assert code == 0, (argv, code)
+"""
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: no subcommand may need it
     src = os.path.dirname(os.path.dirname(landmark_minsum.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run(
-        [sys.executable, "-c",
-         "import landmark_minsum.cli, sys; "
-         "assert not any(m.startswith('scipy') for m in sys.modules)"],
-        env=env, check=True,
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)],
+        env=env, capture_output=True, text=True,
     )
+    assert done.returncode == 0, done.stderr

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +145,19 @@ class TestPlantLandmarks:
         inst = generate(InstanceSpec(sizes=(3, 8), theta=2.0, seed=10))
         with pytest.raises(ParameterError):
             plant_landmarks(inst, per_core=4, seed=0)
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    # ideal_threshold and plant_landmarks are public for this example
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(code, scope)
+    assert scope["source"].ledger.queries_issued == 3
+    assert scope["run"].is_partition()
+    distance, queries = capsys.readouterr().out.split()
+    assert queries == "3" and 0.0 <= float(distance) <= 1.0
 
 
 class TestAdversarial:

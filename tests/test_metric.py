@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from landmark_minsum import (
     BudgetExhaustedError,
     DataError,
     DistanceSource,
+    InstanceSpec,
     MatrixDistanceSource,
     MetricMatrix,
     ParameterError,
@@ -19,12 +21,13 @@ from landmark_minsum import (
     build_landmark_table,
     check_metric,
     embed_kmeans_baseline,
+    generate,
     ingest_similarity,
     read_pair_file,
     read_target_labels,
     write_labels_csv,
 )
-from landmark_minsum.metric import _TRIANGLE_REL_TOL
+from landmark_minsum.metric import _TRIANGLE_REL_TOL, euclidean_rows
 
 from conftest import euclidean_matrix, random_metric
 from oracles import emit_pairs, sampled_check_metric
@@ -136,6 +139,28 @@ class TestRowsCheckedAtQuery:
         with pytest.raises(DataError, match="returned NaN"):
             build_landmark_table(src, [0, 7])
         assert src.ledger.queries_issued == 1
+
+
+class TestEuclideanRows:
+    def test_matches_pairwise_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            dim = int(rng.integers(1, 121))
+            points = rng.standard_normal((60, dim)) * 10.0 ** rng.uniform(-1, 3)
+            assert np.array_equal(
+                euclidean_rows(points, slice(None)), squareform(pdist(points))
+            )
+
+    @pytest.mark.parametrize("sizes", [(20, 15), (10,) * 9, (8,) * 12])
+    def test_point_cloud_rows_equal_generated_matrix(self, sizes):
+        # generate embeds in max(2, k) dimensions; a reordered sum of the
+        # squares changes last bits from about 8 dimensions on
+        inst = generate(
+            InstanceSpec(sizes=sizes, theta=5.0, bad_fraction=0.05, seed=1)
+        )
+        src = PointCloudDistanceSource(inst.points)
+        for s in range(inst.n):
+            assert np.array_equal(src.query_one_vs_all(s), inst.matrix.values[s])
 
 
 class TestMetricMatrix:
@@ -399,6 +424,14 @@ class TestPairAndLabelFiles:
         pairs, labels = read_pair_file(path)
         assert labels == ["a", "b", "c"]
         assert (1, 0, 10.0) in pairs and (0, 2, 4.0) in pairs
+
+    def test_pair_file_bad_score_after_header_is_data_error(self, tmp_path):
+        # only the first non-blank, non-comment line may be a header; a
+        # second non-numeric score used to be skipped as one, dropping `y`
+        path = tmp_path / "pairs.tsv"
+        path.write_text("# comment\nid_a id_b score\nx y abc\nx z 2.0\n")
+        with pytest.raises(DataError, match=r"pairs\.tsv:3: bad bit score 'abc'"):
+            read_pair_file(path)
 
     def test_pair_file_numeric_ids_keep_order(self, tmp_path):
         path = tmp_path / "pairs.tsv"
