@@ -356,7 +356,7 @@ class TestVerifyCommand:
 def test_delta_without_alpha_and_epsilon_is_parameter_error(
     capsys, bundle_dir, argv
 ):
-    # --delta alone used to be dropped, so verify reported delta 0.05
+    # a --delta that no stability parameters use is refused, not dropped
     out, _ = bundle_dir
     argv = [a.format(matrix=out / "matrix.csv", bundle=out) for a in argv]
     code, _, err = run_cli(capsys, *argv, "--delta", "0.5")

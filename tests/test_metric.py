@@ -426,8 +426,8 @@ class TestPairAndLabelFiles:
         assert (1, 0, 10.0) in pairs and (0, 2, 4.0) in pairs
 
     def test_pair_file_bad_score_after_header_is_data_error(self, tmp_path):
-        # only the first non-blank, non-comment line may be a header; a
-        # second non-numeric score used to be skipped as one, dropping `y`
+        # only the first non-blank, non-comment line may be a header;
+        # skipping `x y abc` as another would drop point y without a word
         path = tmp_path / "pairs.tsv"
         path.write_text("# comment\nid_a id_b score\nx y abc\nx z 2.0\n")
         with pytest.raises(DataError, match=r"pairs\.tsv:3: bad bit score 'abc'"):
