@@ -14,14 +14,12 @@ from .evaluation import (
     ObjectiveValue,
     StabilityVerdict,
     StructureReport,
-    VerifyOutcome,
     balanced_k_median,
     classify_points,
     clustering_distance,
     embed_kmeans_baseline,
     min_sum,
     verify_stability,
-    verify_structure,
 )
 from .generate import (
     Instance,
@@ -82,9 +80,8 @@ __all__ = [
     "SweepResult", "sweep", "stop_bound_from",
     # evaluation
     "ObjectiveValue", "min_sum", "balanced_k_median", "clustering_distance",
-    "classify_points", "verify_structure", "verify_stability",
-    "embed_kmeans_baseline", "StructureReport", "VerifyOutcome",
-    "StabilityVerdict",
+    "classify_points", "verify_stability", "embed_kmeans_baseline",
+    "StructureReport", "StabilityVerdict",
     # instance generation
     "InstanceSpec", "Instance", "generate", "generate_adversarial",
     "plant_landmarks", "ideal_threshold", "save_bundle", "load_bundle",

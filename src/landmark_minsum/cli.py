@@ -2,8 +2,9 @@
 verify / ingest, with JSON artifacts and machine-readable errors.
 
 Exit codes: 0 success, 2 parameter error, 3 data error.
-Every artifact embeds the seed, the parameters and the tool version so a
-run can be reproduced byte-for-byte.
+Every artifact embeds the tool version, and those of generate / cluster /
+sweep / baseline also the seed and the parameters, so a run can be
+reproduced byte-for-byte.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .evaluation import (
     embed_kmeans_baseline,
     min_sum,
     verify_stability,
-    verify_structure,
 )
 from .generate import (
     Instance,
@@ -123,7 +123,12 @@ def cmd_generate(args) -> dict:
     if args.output is None:
         raise ParameterError("generate needs --output DIRECTORY")
     seed = _resolve_seed(args)
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError as exc:  # the message quotes the bad entry
+        raise ParameterError(
+            f"--sizes takes comma-separated integers: {exc}"
+        ) from None
     spec = InstanceSpec(
         sizes=sizes,
         theta=args.theta,
@@ -285,9 +290,7 @@ def cmd_verify(args) -> dict:
         raise ParameterError(
             "no stability parameters: pass --alpha/--epsilon or use a bundle"
         )
-    report = classify_points(matrix, target, stability)
-    verify_structure(report, matrix)
-    out = report.to_dict()
+    out = classify_points(matrix, target, stability).to_dict()
     out["version"] = __version__
     metric_report = check_metric(
         matrix,
@@ -339,6 +342,10 @@ def cmd_ingest(args) -> dict:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+    _add_output(p)
+
+
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=["json", "compact"], default="json")
 
@@ -419,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clustering", required=True, help="clustering JSON")
     p.add_argument("--against", default=None, help="other clustering JSON")
     p.add_argument("--labels", default=None, help="target label CSV")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("verify", help="structure / stability report")
@@ -436,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=SYMMETRIZE_POLICIES,
                    default="min_distance")
     p.add_argument("--ids-output", default=None)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_ingest)
 
     return parser

@@ -7,13 +7,19 @@ cluster size.  With a metric, the two satisfy psi/2 <= phi <= psi.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .landmark import Clustering, StabilityParams, sample_landmarks
+from .landmark import (
+    Clustering,
+    StabilityParams,
+    bad_point_budget,
+    sample_landmarks,
+)
 from .metric import DistanceSource, MetricMatrix
 
 DEFAULT_BRUTE_CAP = 12
@@ -196,9 +202,12 @@ def _members(labels, k: int) -> list[list[int]]:
     return clusters
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StructureReport:
-    """Good/bad point classification against a reference clustering."""
+    """Good/bad point classification against a reference clustering and
+    the verdicts of the three structural conditions checked on it (see
+    `classify_points`); `witnesses` holds the first violation of each part
+    that fails."""
 
     n: int
     params: StabilityParams
@@ -208,20 +217,25 @@ class StructureReport:
     second_weights: np.ndarray
     good_sets: list[list[int]]
     bad_points: list[int]
-    b_observed: int
-    core_diameter_bounds: list[float | None]
-    separation_numerator: float
-    single_cluster: bool = False
-    outcome: VerifyOutcome | None = None  # set by verify_structure
+    single_cluster: bool
+    part1: bool
+    part2: bool
+    part3: bool
+    witnesses: dict
+
+    @property
+    def b_observed(self) -> int:
+        return len(self.bad_points)
 
     @property
     def bad_point_budget(self) -> float:
-        p = self.params
-        return (2.0 + 120.0 / p.alpha) * p.epsilon * self.n
+        return bad_point_budget(self.params, self.n)
+
+    @property
+    def all_ok(self) -> bool:
+        return self.part1 and self.part2 and self.part3
 
     def to_dict(self):
-        # an unverified report prints null parts and no witnesses
-        outcome = self.outcome or VerifyOutcome(None, None, None)
         return {
             "n": self.n,
             "params": self.params.to_dict(),
@@ -232,57 +246,90 @@ class StructureReport:
             "cluster_sizes": self.cluster_sizes,
             "single_cluster": self.single_cluster,
             "structure": {
-                "part1": outcome.part1,
-                "part2": outcome.part2,
-                "part3": outcome.part3,
+                "part1": self.part1,
+                "part2": self.part2,
+                "part3": self.part3,
             },
-            "witnesses": outcome.witnesses,
+            "witnesses": self.witnesses,
         }
 
 
 def classify_points(
     m: MetricMatrix, c_star: Clustering, params: StabilityParams
 ) -> StructureReport:
-    """Split points into good sets and bad points.
+    """Split points into good sets and bad points, then check parts 1-3.
 
     A point is good when its weight |C_i| d(x, c_i) is at most
     alpha w / (120 eps) and its second weight min_j |C_j| d(x, c_j) is at
     least alpha w / (4 eps).  For a single non-empty cluster the second
     weight is vacuous (+inf); the report flags that rather than inventing
     semantics.
+
+    Part 1: each good set's diameter is at most alpha w / (60 eps |C_i|).
+    Part 2: good sets i < j lie more than alpha w / (5 eps) / min(|C_i|,
+    |C_j|) apart.  Part 3: the bad points fit `bad_point_budget`.  Parts 1
+    and 2 check every pair of good points.  A failing part's witness is
+    its first violating cluster (part 2: cluster pair i < j), with the
+    first farthest (part 2: closest) pair there in row-major order.
     """
     _require_partition(c_star, m.n)
     n = m.n
+    d = m.values
     obj = balanced_k_median(c_star, m)
-    medians = obj.medians
     sizes = [len(members) for members in c_star.clusters]
     nonempty = [i for i, s in enumerate(sizes) if s]
     w = obj.value / n
-    labels = c_star.labels()
 
-    weights = np.zeros(n)
-    second = np.full(n, math.inf)
-    for i in nonempty:
-        med = medians[i]
-        members = c_star.clusters[i]
-        weights[members] = sizes[i] * m.values[med, members]
-    for i in nonempty:
-        col = sizes[i] * m.values[medians[i], :]
-        mask = labels != i
-        second[mask] = np.minimum(second[mask], col[mask])
+    # row r: |C_i| d(c_i, x) for the r-th non-empty cluster i, every x
+    medians = [obj.medians[i] for i in nonempty]
+    products = np.array(sizes)[nonempty, None] * d[medians]
+    own = np.searchsorted(nonempty, c_star.labels()), np.arange(n)
+    weights = products[own]
+    products[own] = math.inf
+    second = products.min(axis=0)
 
     alpha, eps = params.alpha, params.epsilon
     good_cap = alpha * w / (120.0 * eps)
     second_floor = alpha * w / (4.0 * eps)
     good = (weights <= good_cap) & (second >= second_floor)
-
     good_sets = [
         [p for p in members if good[p]] for members in c_star.clusters
     ]
     bad = [int(p) for p in np.nonzero(~good)[0]]
-    diam_bounds = [
-        alpha * w / (60.0 * eps * s) if s else None for s in sizes
-    ]
+
+    witnesses: dict = {}
+    for i, members in enumerate(good_sets):
+        if len(members) < 2:
+            continue
+        sub = d[np.ix_(members, members)]
+        mx = float(sub.max())
+        bound = alpha * w / (60.0 * eps * sizes[i])
+        if mx > bound:
+            a, b = np.unravel_index(int(np.argmax(sub)), sub.shape)
+            witnesses["part1"] = {
+                "cluster": i,
+                "pair": [members[int(a)], members[int(b)]],
+                "distance": mx,
+                "bound": bound,
+            }
+            break
+    occupied = [i for i, x in enumerate(good_sets) if x]
+    for i, j in itertools.combinations(occupied, 2):
+        cross = d[np.ix_(good_sets[i], good_sets[j])]
+        mn = float(cross.min())
+        bound = alpha * w / (5.0 * eps) / min(sizes[i], sizes[j])
+        if not mn > bound:
+            a, b = np.unravel_index(int(np.argmin(cross)), cross.shape)
+            witnesses["part2"] = {
+                "clusters": [i, j],
+                "pair": [good_sets[i][int(a)], good_sets[j][int(b)]],
+                "distance": mn,
+                "bound": bound,
+            }
+            break
+    budget = bad_point_budget(params, n)
+    if len(bad) > budget:
+        witnesses["part3"] = {"b_observed": len(bad), "budget": budget}
     return StructureReport(
         n=n,
         params=params,
@@ -292,84 +339,12 @@ def classify_points(
         second_weights=second,
         good_sets=good_sets,
         bad_points=bad,
-        b_observed=len(bad),
-        core_diameter_bounds=diam_bounds,
-        separation_numerator=alpha * w / (5.0 * eps),
         single_cluster=len(nonempty) <= 1,
+        part1="part1" not in witnesses,
+        part2="part2" not in witnesses,
+        part3="part3" not in witnesses,
+        witnesses=witnesses,
     )
-
-
-@dataclass
-class VerifyOutcome:
-    part1: bool
-    part2: bool
-    part3: bool
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.part1 and self.part2 and self.part3
-
-
-def verify_structure(report: StructureReport, m: MetricMatrix) -> VerifyOutcome:
-    """Exhaustively check the three structural conditions on good sets.
-
-    Part 1: good points of one cluster lie within the core diameter bound.
-    Part 2: good points of different clusters are separated by more than
-    the separation bound over the smaller cluster size.  Part 3: the bad
-    point count fits its budget.  First violating witness recorded per part.
-    """
-    d = m.values
-    witnesses: dict = {}
-    part1 = True
-    for i, members in enumerate(report.good_sets):
-        if len(members) < 2:
-            continue
-        sub = d[np.ix_(members, members)]
-        mx = float(sub.max())
-        if mx > report.core_diameter_bounds[i]:
-            part1 = False
-            a, b = np.unravel_index(int(np.argmax(sub)), sub.shape)
-            witnesses["part1"] = {
-                "cluster": i,
-                "pair": [members[int(a)], members[int(b)]],
-                "distance": mx,
-                "bound": report.core_diameter_bounds[i],
-            }
-            break
-    part2 = True
-    nonempty = [i for i, x in enumerate(report.good_sets) if x]
-    for ii, i in enumerate(nonempty):
-        if not part2:
-            break
-        for j in nonempty[ii + 1:]:
-            cross = d[np.ix_(report.good_sets[i], report.good_sets[j])]
-            mn = float(cross.min())
-            bound = report.separation_numerator / min(
-                report.cluster_sizes[i], report.cluster_sizes[j]
-            )
-            if not mn > bound:
-                part2 = False
-                a, b = np.unravel_index(int(np.argmin(cross)), cross.shape)
-                witnesses["part2"] = {
-                    "clusters": [i, j],
-                    "pair": [
-                        report.good_sets[i][int(a)],
-                        report.good_sets[j][int(b)],
-                    ],
-                    "distance": mn,
-                    "bound": bound,
-                }
-                break
-    budget = report.bad_point_budget
-    part3 = report.b_observed <= budget
-    if not part3:
-        witnesses["part3"] = {
-            "b_observed": report.b_observed,
-            "budget": budget,
-        }
-    report.outcome = VerifyOutcome(part1, part2, part3, witnesses)
-    return report.outcome
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError, GenerationError, ParameterError, open_input
 from .evaluation import _members, balanced_k_median
-from .landmark import Clustering, StabilityParams
+from .landmark import Clustering, StabilityParams, _non_negative_int
 from .metric import MetricMatrix, _label_sort_key, euclidean_rows
 
 # Declared effective size*diameter scale is this multiple of the requested
@@ -407,7 +407,15 @@ def load_bundle(directory) -> Instance:
             if meta.get("stability"):
                 stability = StabilityParams.from_dict(meta["stability"])
             if meta.get("core_members"):
-                cores = [[int(x) for x in c] for c in meta["core_members"]]
+                cores = [
+                    [_non_negative_int(x) for x in c] for c in meta["core_members"]
+                ]
+                outside = [x for c in cores for x in c if x >= matrix.n]
+                if outside:
+                    raise DataError(
+                        f"{meta_path}: core member {outside[0]} outside "
+                        f"[0,{matrix.n})"
+                    )
             kind = meta.get("kind", "generated")
         except KeyError as exc:
             raise DataError(f"{meta_path}: missing field {exc}") from None

@@ -66,6 +66,11 @@ def landmark_count_for(params: StabilityParams, k: int, n: int | None = None) ->
     return count
 
 
+def bad_point_budget(params: StabilityParams, n: int) -> float:
+    """Bad points the structure allows: (2 + 120/alpha) * epsilon * n."""
+    return (2.0 + 120.0 / params.alpha) * params.epsilon * n
+
+
 def threshold_from_opt(alpha: float, epsilon: float, opt: float, n: int) -> float:
     """Ideal threshold alpha * OPT / (40 * epsilon * n) for a known optimum."""
     if n < 1:
@@ -143,6 +148,12 @@ def _non_negative_int(x) -> int:
     return x
 
 
+def _string_list(x) -> list[str]:
+    if type(x) is not list or any(type(s) is not str for s in x):
+        raise ValueError(f"{x!r} is not a list of strings")
+    return x
+
+
 @dataclass
 class Clustering:
     """A (possibly partial) partition of points 0..n-1 into ordered clusters.
@@ -208,7 +219,8 @@ class Clustering:
         """Read a `to_dict` JSON file; a malformed one raises DataError.
 
         `n` and every point id must be a non-negative JSON integer: `1.7`,
-        `"1"` or `true` is not read as a point.
+        `"1"` or `true` is not read as a point.  `warnings` must be a list
+        of strings.
         """
         try:
             with open_input(path) as fh:
@@ -222,7 +234,7 @@ class Clustering:
                     if "cluster_landmarks" in d
                     else None
                 ),
-                warnings=list(d.get("warnings", [])),
+                warnings=_string_list(d.get("warnings", [])),
             )
         except KeyError as exc:
             raise DataError(f"{path}: missing field {exc}") from None

@@ -25,13 +25,14 @@ from .landmark import (
     _as_clustering,
     _stream_min_sum,
     assign_remainder,
+    bad_point_budget,
     snapped_ceil,
 )
 
 
 def stop_bound_from(params: StabilityParams, n: int) -> int:
-    """Bad-point budget ceil((2 + 120/alpha) * epsilon * n)."""
-    b = snapped_ceil((2.0 + 120.0 / params.alpha) * params.epsilon * n)
+    """`bad_point_budget(params, n)` rounded up."""
+    b = snapped_ceil(bad_point_budget(params, n))
     if b >= n:
         raise ParameterError(
             f"stop bound {b} >= n={n}: stability parameters inconsistent with n"

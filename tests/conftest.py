@@ -9,6 +9,7 @@ from landmark_minsum import (
     InstanceSpec,
     MatrixDistanceSource,
     MetricMatrix,
+    StabilityParams,
     build_landmark_table,
     generate,
     plant_landmarks,
@@ -37,6 +38,23 @@ def random_symmetric(n: int, seed: int, scale: float = 5.0) -> MetricMatrix:
     a = rng.uniform(0.1, scale, size=(n, n))
     upper = np.triu(a, 1)
     return MetricMatrix(upper + upper.T)
+
+
+def structure_violation_case():
+    """(matrix, target, params) whose good sets break parts 1 and 2 only.
+
+    Not a metric: in cluster 0 = {0, 1, 2} points 1 and 2 are 1 from the
+    median 0 but 100 apart, and point 2 lies 0.5 from point 4 of
+    cluster 1 = {3, 4} while every other cross distance is 1000.  At
+    alpha / epsilon = 250 every point is good, the diameter bound of
+    cluster 0 is 1.6 * 250 / 180 and the separation bound 1.6 * 250 / 10.
+    """
+    d = np.full((5, 5), 1000.0)
+    d[np.ix_([0, 1, 2], [0, 1, 2])] = [[0, 1, 1], [1, 0, 100], [1, 100, 0]]
+    d[np.ix_([3, 4], [3, 4])] = [[0, 1], [1, 0]]
+    d[2, 4] = d[4, 2] = 0.5
+    target = Clustering(n=5, clusters=[[0, 1, 2], [3, 4]])
+    return MetricMatrix(d), target, StabilityParams(alpha=1.0, epsilon=0.004)
 
 
 def criterion_07_case(trial: int):

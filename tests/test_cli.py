@@ -1,17 +1,25 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import landmark_minsum
-from landmark_minsum import InstanceSpec, MetricMatrix, generate, save_bundle
-from landmark_minsum.cli import main
+from landmark_minsum import (
+    InstanceSpec,
+    MetricMatrix,
+    generate,
+    save_bundle,
+    write_labels_csv,
+)
+from landmark_minsum.cli import build_parser, main
 
-from conftest import random_metric
+from conftest import random_metric, structure_violation_case
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +66,19 @@ class TestGenerateCommand:
         )
         assert code == 2
         assert json.loads(err)["error"] == "ParameterError"
+
+    @pytest.mark.parametrize("sizes, entry", [("3,abc", "'abc'"), ("", "''")])
+    def test_bad_sizes_entry_is_parameter_error(
+        self, capsys, tmp_path, sizes, entry
+    ):
+        code, _, err = run_cli(
+            capsys, "generate", "--sizes", sizes, "--theta", "1.0",
+            "--output", str(tmp_path / "inst"),
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert payload["message"].endswith(entry)
 
     def test_compact_format_is_single_line(self, capsys, tmp_path):
         out = tmp_path / "inst"
@@ -239,8 +260,10 @@ class TestEvaluateCommand:
         "not json", '{"clusters": [[0, 1]]}', '{"n": 2, "clusters": [[0, "x"]]}',
         "[0, 1]", '{"n": 2, "clusters": [[0, 1.7]]}',
         '{"n": 2, "clusters": [[0, true]]}', '{"n": -1, "clusters": []}',
+        '{"n": 2, "clusters": [[0, 1]], "warnings": "oops"}',
+        '{"n": 2, "clusters": [[0, 1]], "warnings": [1]}',
     ], ids=["not-json", "no-n", "bad-member", "not-object", "float-member",
-            "bool-member", "negative-n"])
+            "bool-member", "negative-n", "string-warnings", "int-warning"])
     def test_malformed_clustering_json_is_data_error(
         self, capsys, tmp_path, text, flag
     ):
@@ -279,9 +302,12 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("text", [
         "not json", '{"spec": {"theta": 1}}', '{"stability": {"alpha": 1}}',
         '{"core_members": [["x"]]}', '{"spec": {"sizes": [0], "theta": 1}}',
-        "[1]",
+        "[1]", '{"core_members": [[0, 1.7]]}', '{"core_members": [["3"]]}',
+        '{"core_members": [[-4]]}', '{"core_members": [[0, 1000000]]}',
     ], ids=["not-json", "spec-no-sizes", "stability-no-epsilon",
-            "bad-core-member", "spec-out-of-range", "not-object"])
+            "bad-core-member", "spec-out-of-range", "not-object",
+            "float-core-member", "string-core-member", "negative-core-member",
+            "core-member-past-n"])
     def test_malformed_instance_json_is_data_error(self, capsys, bundle_dir, text):
         out, _ = bundle_dir
         (out / "instance.json").write_text(text)
@@ -290,6 +316,27 @@ class TestVerifyCommand:
         payload = json.loads(err)
         assert payload["error"] == "DataError"
         assert str(out / "instance.json") in payload["message"]
+
+    def test_structure_witnesses_in_artifact(self, capsys, tmp_path):
+        m, target, _ = structure_violation_case()
+        labels = tmp_path / "labels.csv"
+        write_labels_csv(labels, target.labels())
+        code, stdout, _ = run_cli(
+            capsys, "verify", "--input", write_matrix(tmp_path, m),
+            "--labels", str(labels), "--alpha", "1", "--epsilon", "0.004",
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["structure"] == {"part1": False, "part2": False,
+                                        "part3": True}
+        part1, part2 = payload["witnesses"]["part1"], payload["witnesses"]["part2"]
+        assert (part1["cluster"], part1["pair"], part1["distance"]) == (
+            0, [1, 2], 100.0
+        )
+        assert (part2["clusters"], part2["pair"], part2["distance"]) == (
+            [0, 1], [2, 4], 0.5
+        )
+        assert "part3" not in payload["witnesses"]
 
     def test_stability_check_on_tiny_instance(self, capsys, tmp_path):
         inst = generate(InstanceSpec(sizes=(5, 4), theta=1.5, seed=11))
@@ -364,6 +411,32 @@ def test_delta_without_alpha_and_epsilon_is_parameter_error(
     payload = json.loads(err)
     assert payload["error"] == "ParameterError"
     assert "--delta" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--clustering", "c.json", "--labels", "labels.csv"],
+    ["ingest", "--input", "pairs.tsv", "--output", "matrix.csv"],
+], ids=["evaluate", "ingest"])
+def test_seed_refused_where_nothing_is_drawn(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    # every command in the README's CLI block names only existing flags
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("landmark-minsum ")
+    ]
+    assert len(commands) == 8
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 class TestMissingInput:

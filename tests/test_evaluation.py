@@ -25,7 +25,6 @@ from landmark_minsum import (
     InstanceSpec,
     min_sum,
     verify_stability,
-    verify_structure,
 )
 from landmark_minsum import evaluation
 from landmark_minsum.evaluation import partition_chunks
@@ -36,10 +35,13 @@ from conftest import (
     random_metric,
     random_partition,
     random_symmetric,
+    structure_violation_case,
 )
 from oracles import (
     brute_force_optimum,
     partitions_upto_k,
+    two_call_classify_points,
+    two_call_verify_structure,
     two_pass_verify_stability,
 )
 
@@ -253,15 +255,14 @@ class TestClassifyAndStructure:
         inst = generate(InstanceSpec(sizes=(30, 20, 15), theta=4.0, seed=0))
         report = classify_points(inst.matrix, inst.target, inst.stability)
         assert report.bad_points == []
-        assert verify_structure(report, inst.matrix).all_ok
+        assert report.all_ok
 
     def test_bad_points_within_budget_when_verified(self):
         inst = generate(
             InstanceSpec(sizes=(60, 40, 30), theta=6.0, bad_fraction=0.03, seed=1)
         )
         report = classify_points(inst.matrix, inst.target, inst.stability)
-        outcome = verify_structure(report, inst.matrix)
-        assert outcome.part3
+        assert report.part3
         assert report.b_observed <= report.bad_point_budget
 
     def test_average_weight_matches_objective(self):
@@ -290,24 +291,86 @@ class TestClassifyAndStructure:
         assert report.single_cluster
         assert np.all(np.isinf(report.second_weights))
 
-    def test_part2_violation_witnessed_on_doctored_report(self):
-        inst = generate(InstanceSpec(sizes=(20, 15), theta=4.0, seed=5))
-        report = classify_points(inst.matrix, inst.target, inst.stability)
-        # pretend the separation requirement were much larger than reality
-        report.separation_numerator *= 1e9
-        outcome = verify_structure(report, inst.matrix)
-        assert not outcome.part2
-        w = outcome.witnesses["part2"]
-        assert w["distance"] <= w["bound"]
+    def test_part1_and_part2_violations_witnessed(self):
+        m, target, params = structure_violation_case()
+        report = classify_points(m, target, params)
+        assert report.good_sets == [[0, 1, 2], [3, 4]]
+        assert (report.part1, report.part2, report.part3) == (False, False, True)
+        assert not report.all_ok
+        w1, w2 = report.witnesses["part1"], report.witnesses["part2"]
+        assert (w1["cluster"], w1["pair"], w1["distance"]) == (0, [1, 2], 100.0)
+        assert w1["bound"] == pytest.approx(1.6 * 250 / 180)
+        assert (w2["clusters"], w2["pair"], w2["distance"]) == ([0, 1], [2, 4], 0.5)
+        assert w2["bound"] == pytest.approx(1.6 * 250 / 10)
+        assert "part3" not in report.witnesses
+
+    def test_part2_witness_is_the_first_cluster_pair(self):
+        # pairs (0, 2) and (1, 2) both violate part 2; (0, 2) comes first
+        d = np.full((6, 6), 1000.0)
+        for i in (0, 2, 4):
+            d[i, i + 1] = d[i + 1, i] = 1.0
+        np.fill_diagonal(d, 0.0)
+        d[1, 5] = d[5, 1] = d[3, 5] = d[5, 3] = 0.5
+        target = Clustering(n=6, clusters=[[0, 1], [2, 3], [4, 5]])
+        params = StabilityParams(alpha=1.0, epsilon=0.004)
+        report = classify_points(MetricMatrix(d), target, params)
+        assert report.bad_points == []
+        w2 = report.witnesses["part2"]
+        assert (w2["clusters"], w2["pair"]) == ([0, 2], [1, 5])
 
     def test_part3_violation_constructed(self):
         inst = generate(InstanceSpec(sizes=(20, 15), theta=4.0, seed=6))
         params = StabilityParams(alpha=1.0, epsilon=1e-9)
-        report = classify_points(inst.matrix, inst.target, params)
         # with an absurdly small epsilon every point fails the weight cap
-        outcome = verify_structure(report, inst.matrix)
-        assert not outcome.part3
-        assert outcome.witnesses["part3"]["b_observed"] > 0
+        report = classify_points(inst.matrix, inst.target, params)
+        assert not report.part3
+        assert report.witnesses["part3"]["b_observed"] > 0
+
+    def test_matches_two_call_oracle(self):
+        failed = {"part1": 0, "part2": 0, "part3": 0}
+        for seed in range(400):
+            m, target, params = _structure_case(seed)
+            report = classify_points(m, target, params)
+            oracle = two_call_classify_points(m, target, params)
+            two_call_verify_structure(oracle, m)
+            assert report.to_dict() == oracle.to_dict(), seed
+            assert np.array_equal(report.weights, oracle.weights), seed
+            assert np.array_equal(report.second_weights, oracle.second_weights)
+            assert report.bad_points == oracle.bad_points, seed
+            for part in failed:
+                failed[part] += not getattr(report, part)
+        assert min(failed.values()) > 0, failed
+
+
+_STRUCTURE_KINDS = ("non_metric", "euclidean", "integer_grid", "spoiled")
+
+
+def _structure_case(seed: int):
+    """Blobs around k random centres (a cluster may stay empty), as a
+    Euclidean matrix, on the integer grid (ties), scaled pair by pair
+    (not a metric) or with one distance shrunk or stretched tenfold."""
+    rng = np.random.default_rng(seed)
+    kind = _STRUCTURE_KINDS[seed % 4]
+    k = int(rng.integers(1, 5))
+    n = int(rng.integers(2 * k, 16))
+    labels = rng.integers(0, k, size=n)
+    spread = rng.uniform(0.1, 2.0)
+    pts = rng.uniform(0, 100, size=(k, 2))[labels] + rng.normal(0, spread, (n, 2))
+    if kind == "integer_grid":
+        pts = np.round(pts)
+    d = euclidean_matrix(pts).values.copy()
+    if kind == "non_metric":
+        scale = np.triu(rng.uniform(0.2, 3.0, size=(n, n)), 1)
+        d *= scale + scale.T
+    elif kind == "spoiled":
+        i, j = rng.choice(n, size=2, replace=False)
+        d[i, j] = d[j, i] = d[i, j] * rng.choice([0.01, 10.0])
+    target = Clustering(
+        n=n, clusters=[np.flatnonzero(labels == j).tolist() for j in range(k)]
+    )
+    params = StabilityParams(alpha=rng.uniform(0.5, 3.0),
+                             epsilon=rng.uniform(0.001, 0.03))
+    return MetricMatrix(d), target, params
 
 
 class TestVerifyStability:

@@ -25,7 +25,6 @@ from landmark_minsum import (
     StabilityParams,
     sweep,
     verify_stability,
-    verify_structure,
 )
 
 
@@ -47,7 +46,7 @@ class TestGenerate:
                              bad_fraction=0.02, seed=seed)
             )
             report = classify_points(inst.matrix, inst.target, inst.stability)
-            assert verify_structure(report, inst.matrix).all_ok
+            assert report.all_ok
 
     def test_metric_check_clean(self):
         inst = generate(InstanceSpec(sizes=(60, 40), theta=5.0,
@@ -90,7 +89,7 @@ class TestGenerate:
         inst = generate(InstanceSpec(sizes=(4,) * 9, theta=2.0,
                                      embed_dim=1, seed=5))
         report = classify_points(inst.matrix, inst.target, inst.stability)
-        assert verify_structure(report, inst.matrix).all_ok
+        assert report.all_ok
 
     def test_infeasible_separation_suggests_higher_dimension(self):
         from landmark_minsum.generate import _place_centers, _required_center_gaps
@@ -108,7 +107,7 @@ class TestGenerate:
         inst = generate(InstanceSpec(sizes=(10, 10, 10), theta=2.0,
                                      embed_dim=2, seed=6))
         report = classify_points(inst.matrix, inst.target, inst.stability)
-        assert verify_structure(report, inst.matrix).all_ok
+        assert report.all_ok
 
     def test_per_cluster_theta_override(self):
         spec = InstanceSpec(sizes=(20, 20), theta=4.0,

@@ -29,7 +29,6 @@ from landmark_minsum import (
     sample_landmarks,
     sweep,
     threshold_from_opt,
-    verify_structure,
 )
 from landmark_minsum.landmark import _as_clustering, _stream_min_sum
 
@@ -248,7 +247,7 @@ class TestClusterMinSum:
                             seed=13)
         inst = generate(spec)
         report = classify_points(inst.matrix, inst.target, inst.stability)
-        assert verify_structure(report, inst.matrix).all_ok
+        assert report.all_ok
         t = table_for(inst.matrix, plant_landmarks(inst, 1, seed=3))
         c = cluster_min_sum(t, k=3, threshold=ideal_threshold(inst))
         labels = c.labels()
