@@ -45,17 +45,25 @@ class InstanceSpec:
     def __post_init__(self):
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise ParameterError(f"sizes must be positive, got {self.sizes}")
-        if not self.theta > 0:
-            raise ParameterError(f"theta must be positive, got {self.theta}")
-        if self.separation_factor < 1.0:
-            raise ParameterError("separation_factor must be >= 1")
+        # written so that NaN fails every bound
+        if not 0 < self.theta < math.inf:
+            raise ParameterError(
+                f"theta must be positive and finite, got {self.theta}"
+            )
+        if not 1.0 <= self.separation_factor < math.inf:
+            raise ParameterError(
+                "separation_factor must be finite and >= 1, "
+                f"got {self.separation_factor}"
+            )
         if not 0.0 <= self.bad_fraction < 1.0:
             raise ParameterError("bad_fraction must be in [0,1)")
         if self.theta_per_cluster is not None:
             if len(self.theta_per_cluster) != len(self.sizes):
                 raise ParameterError("theta_per_cluster must match sizes")
-            if any(t <= 0 for t in self.theta_per_cluster):
-                raise ParameterError("theta_per_cluster entries must be positive")
+            if not all(0 < t < math.inf for t in self.theta_per_cluster):
+                raise ParameterError(
+                    "theta_per_cluster entries must be positive and finite"
+                )
         if self.embed_dim is not None and self.embed_dim < 1:
             raise ParameterError("embed_dim must be >= 1")
 

@@ -3,7 +3,8 @@
 The production path (`cluster_min_sum`) consumes a globally sorted stream of
 (landmark, point, distance) pairs, growing a ball around each landmark and
 extracting a cluster whenever some ball's size times the next pair distance
-exceeds the threshold T.
+exceeds the threshold T.  The stream is sorted lazily, one chunk at a time,
+as far as the run reads it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -88,57 +90,87 @@ def sample_landmarks(n: int, n_prime: int, seed: int) -> list[int]:
     return [int(x) for x in rng.choice(n, size=n_prime, replace=False)]
 
 
+# pairs in the stream's first chunk; each later chunk targets twice as many
+_FIRST_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class LandmarkTable:
-    """Landmark distance rows plus the globally sorted pair stream.
+    """The n' queried landmark distance rows: `rows[j, p]` is the distance
+    from landmark `landmark_ids[j]` to point p.  Immutable once built.
 
-    Pairs are sorted by (distance, landmark position, point id); +inf
-    distances land at the end.  Immutable once built; a run reads the
-    stream's finite part, the only part it consumes, from `finite_stream()`.
+    A run reads the finite (landmark position, point, distance) pairs in
+    (distance, landmark position, point) order.  That stream is not stored:
+    `chunks()` sorts it from `rows` one tie-complete chunk at a time, so a
+    run that stops early sorts only the prefix it reached.
     """
 
     landmark_ids: list[int]
     rows: np.ndarray
-    pair_landmark: np.ndarray
-    pair_point: np.ndarray
-    pair_dist: np.ndarray
     n: int
 
     @property
     def n_prime(self) -> int:
         return len(self.landmark_ids)
 
-    @property
-    def pair_count(self) -> int:
-        return len(self.pair_dist)
+    def chunks(self):
+        """Yield the finite pair stream as consecutive chunks of
+        (landmark position, point, distance) columns, as memoryviews.
 
-    def finite_stream(self) -> tuple[memoryview, ...]:
-        """The (landmark, point, distance) columns cut before the first +inf
-        distance, as zero-copy views."""
-        finite = int(np.searchsorted(self.pair_dist, INF))
-        cols = (self.pair_landmark, self.pair_point, self.pair_dist)
-        return tuple(memoryview(col[:finite]) for col in cols)
+        Each chunk holds every pair with lo < d <= hi, where lo is the
+        previous chunk's hi: no tie is split between two chunks, so the
+        chunks concatenate to the whole stream, and a stable sort on
+        distance of the pairs taken in (landmark, point) order gives each
+        chunk's order.  The first chunk holds about `_FIRST_CHUNK` pairs and
+        each later one about twice the one before, up to the last finite
+        pair; hi is read off a strided sample of the distances, so no
+        chunk copies or partitions all of them.
+        """
+        d = self.rows.ravel()
+        step = max(1, _FIRST_CHUNK // 64)  # ~64 sample points per first chunk
+        sample = np.sort(d[::step])
+        lo = None
+        taken = 0  # pairs in the chunks yielded so far
+        size = _FIRST_CHUNK
+        while True:
+            j = (taken + size - 1) // step
+            if lo is not None:
+                j = max(j, int(np.searchsorted(sample, lo, side="right")))
+            last = j >= sample.size or sample[j] == INF
+            keep = d < INF if last else d <= sample[j]
+            if lo is not None:
+                keep &= d > lo
+            # the frame outlives each yield: free the mask and the indices
+            # before it, so a run holds only the chunk's three columns
+            idx = np.flatnonzero(keep)
+            del keep
+            dist = d[idx]
+            order = np.argsort(dist, kind="stable")
+            dist = dist[order]
+            landmark, point = np.divmod(idx[order], self.n)
+            del idx, order
+            if dist.size:
+                yield memoryview(landmark), memoryview(point), memoryview(dist)
+            if last:
+                return
+            lo = sample[j]
+            taken += dist.size
+            size *= 2
 
 
 def build_landmark_table(source: DistanceSource, landmark_ids) -> LandmarkTable:
-    """Query one row per landmark and sort all landmark-point pairs."""
+    """Query one row per landmark; sorting the pairs is left to the runs
+    (`LandmarkTable.chunks`)."""
     ids = [int(x) for x in landmark_ids]
     if not ids:
         raise ParameterError("need at least one landmark")
     if len(set(ids)) != len(ids):
         raise ParameterError("landmark ids must be distinct")
-    rows = np.vstack([source.query_one_vs_all(l) for l in ids])
-    n = source.n
-    n_prime = len(ids)
-    l_flat = np.repeat(np.arange(n_prime, dtype=np.int32), n)
-    p_flat = np.tile(np.arange(n, dtype=np.int32), n_prime)
-    d_flat = rows.ravel()
-    # the flattened rows are already in (landmark, point) order, so a stable
-    # sort on distance alone yields the (distance, landmark, point) order
-    order = np.argsort(d_flat, kind="stable")
-    return LandmarkTable(
-        ids, rows, l_flat[order], p_flat[order], d_flat[order], n
-    )
+    rows = np.empty((len(ids), source.n))
+    for row, l in zip(rows, ids):
+        row[:] = source.query_one_vs_all(l)
+    rows.flags.writeable = False  # every run sorts its stream from them
+    return LandmarkTable(ids, rows, source.n)
 
 
 def _non_negative_int(x) -> int:
@@ -265,8 +297,11 @@ def cluster_min_sum(table: LandmarkTable, k: int, threshold: float) -> Clusterin
     stream runs out before k clusters exist, the remaining points become
     one more cluster.  Fewer than k clusters are padded with empty ones
     under a warning.
+
+    The run pulls the stream's chunks from `table.chunks()` as it reaches
+    them, so it sorts only the chunks up to the pair where it stops.
     """
-    clusters, _ = _stream_min_sum(table, k, threshold, table.finite_stream())
+    clusters, _ = _stream_min_sum(table, k, threshold, table.chunks())
     return _as_clustering(table, k, clusters)
 
 
@@ -274,7 +309,7 @@ def _stream_min_sum(
     table: LandmarkTable,
     k: int,
     threshold: float,
-    stream,
+    chunks,
 ) -> tuple[list[list[int]], float]:
     """One run of `cluster_min_sum`: its bare clusters and the smallest
     product max_size * r that fired.
@@ -282,8 +317,11 @@ def _stream_min_sum(
     The clusters are the extracted ones in extraction order, each sorted,
     then, if the finite stream ran out before k extractions, the remaining
     points as one last cluster; so their total size is the run's coverage.
-    `stream` is `table.finite_stream()`, read in place, or those columns as
-    Python lists, converted once by a caller making many runs.  The run
+    `chunks` yields the stream's chunks in order, each as its (landmark
+    position, point, distance) columns: `table.chunks()`, whose memoryviews
+    are read in place, or those columns as Python lists, converted once by
+    a caller making many runs.  The next chunk is pulled only once the run
+    has read every pair of the one before.  The run
     depends on T only through its tests `max_size * r > T`, so every
     threshold in [T, smallest fired product) gives the same run; the
     product is +inf when no test fired.
@@ -303,7 +341,7 @@ def _stream_min_sum(
 
     fired = INF
     last = None  # distance of the last inserted pair; None after an extraction
-    for li, s, r in zip(*stream):
+    for li, s, r in chain.from_iterable(zip(*c) for c in chunks):
         # a pair is live until its point or its landmark is clustered; when
         # an extraction kills the current pair the re-test moves on to the
         # next live pair

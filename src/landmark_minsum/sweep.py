@@ -14,6 +14,7 @@ without any further distance queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf as INF
 
 import numpy as np
 
@@ -68,24 +69,35 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
     run's smallest fired product is the next threshold tried.  Stops at the
     first run clustering at least n - b points before remainder assignment,
     then completes the winner with assign_remainder.  Reuses the landmark
-    table throughout, so no new queries are issued.
+    table throughout, so no new queries are issued.  The stream's chunks
+    are sorted and turned into Python lists once, when the first run
+    reaches them, and later runs read those lists.
     """
     n = table.n
-    dists = table.pair_dist  # ascending, +inf last
-    first = int(np.searchsorted(dists, 0.0, side="right"))
-    if first == dists.size or np.isinf(dists[first]):
+    rows = table.rows
+    # the first threshold: the smallest positive finite distance
+    t = float(np.min(rows, where=(rows > 0) & (rows < INF), initial=INF))
+    if t == INF:
         raise DataError("no positive finite landmark-point distances")
     if not 0 <= stop_bound_b < n:
         raise ParameterError(f"need 0 <= b < n, got b={stop_bound_b}, n={n}")
     needed = n - stop_bound_b
     coverage: list[tuple[float, int]] = []
-    t = float(dists[first])
-    stream = [col.tolist() for col in table.finite_stream()]
+    pending = table.chunks()
+    converted: list[list[list]] = []
+
+    def chunks():
+        # runs read one at a time, so only the current one appends
+        yield from converted
+        for c in pending:
+            converted.append([col.tolist() for col in c])
+            yield converted[-1]
+
     # the smallest fired product exceeds t, so t rises strictly; a run in
     # which nothing fires (fired is +inf) clusters every point, and the walk
     # reaches such a run before t becomes +inf, so the loop always returns
     while True:
-        clusters, fired = _stream_min_sum(table, k, t, stream)
+        clusters, fired = _stream_min_sum(table, k, t, chunks())
         cov = sum(map(len, clusters))
         coverage.append((t, cov))
         if cov >= needed:

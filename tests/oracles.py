@@ -1,13 +1,15 @@
 """Reference implementations that the fast paths are checked against.
 
-`enumerate_thresholds` lists every achievable ball-size x distance product
-and `candidate_sweep` reruns the clustering once per product in ascending
-order, the threshold walk `landmark_minsum.sweep` shortcuts by jumping
-between fired products.  `conceptual_cluster_min_sum` restates the pair
-stream sweep of `cluster_min_sum` over continuous radii, and
-`loop_stream_min_sum` is the cursor-and-peek loop the single-pass kernel
-replaced.  `sampled_check_metric` is the per-triple loop the sampled
-triangle audit vectorises.  `emit_pairs` inverts `ingest_similarity`.
+`full_stream` stable-sorts every landmark-point pair at once, the stream
+`LandmarkTable.chunks` sorts lazily chunk by chunk.  `enumerate_thresholds`
+lists every achievable ball-size x distance product and `candidate_sweep`
+reruns the clustering once per product in ascending order, the threshold
+walk `landmark_minsum.sweep` shortcuts by jumping between fired products.
+`conceptual_cluster_min_sum` restates the pair stream sweep of
+`cluster_min_sum` over continuous radii, and `loop_stream_min_sum` is the
+cursor-and-peek loop the single-pass kernel replaced.
+`sampled_check_metric` is the per-triple loop the sampled triangle audit
+vectorises.  `emit_pairs` inverts `ingest_similarity`.
 `partitions_upto_k` is the recursive generator of the restricted-growth
 label rows that `partition_chunks` builds in numpy.  `brute_force_optimum`
 and `two_pass_verify_stability` score every partition through the public
@@ -51,13 +53,26 @@ from landmark_minsum.metric import _TRIANGLE_REL_TOL
 OBJECTIVES = {"min_sum": min_sum, "balanced_k_median": balanced_k_median}
 
 
+def full_stream(table: LandmarkTable) -> tuple[np.ndarray, ...]:
+    """The (landmark position, point, distance) columns of every pair,
+    stable-sorted by distance in one pass and cut before the first +inf:
+    the stream that `LandmarkTable.chunks()` sorts chunk by chunk."""
+    d = table.rows.ravel()
+    landmark = np.repeat(np.arange(table.n_prime), table.n)
+    point = np.tile(np.arange(table.n), table.n_prime)
+    # the flattened rows are already in (landmark, point) order, so a stable
+    # sort on distance alone yields the (distance, landmark, point) order
+    order = np.argsort(d, kind="stable")[: np.count_nonzero(d < INF)]
+    return landmark[order], point[order], d[order]
+
+
 def enumerate_thresholds(table: LandmarkTable, n: int | None = None) -> np.ndarray:
     """Every product of a ball size (1..n) and a positive finite
     landmark-point distance, ascending and without duplicates."""
     if n is None:
         n = table.n
-    dists = table.pair_dist
-    dists = np.unique(dists[(dists > 0) & np.isfinite(dists)])
+    dists = full_stream(table)[2]
+    dists = np.unique(dists[dists > 0])
     if dists.size == 0:
         raise DataError("no positive finite landmark-point distances")
     return np.unique(np.outer(np.arange(1, n + 1, dtype=np.float64), dists))
@@ -219,14 +234,10 @@ def loop_stream_min_sum(
     """
     n = table.n
     _validate_run(n, k, threshold)
-    if table.pair_count == 0:
-        raise ParameterError("landmark table has no pairs")
     T = float(threshold)
 
-    l_arr = table.pair_landmark.tolist()
-    p_arr = table.pair_point.tolist()
-    d_arr = table.pair_dist.tolist()
-    total = table.pair_count
+    l_arr, p_arr, d_arr = (col.tolist() for col in full_stream(table))
+    total = len(d_arr)
     n_prime = table.n_prime
     pos_by_point = {pid: j for j, pid in enumerate(table.landmark_ids)}
 
@@ -281,7 +292,7 @@ def loop_stream_min_sum(
         # next active pair; skipped pairs stay dead, so the cursor never backs up
         while c < total and (clustered[p_arr[c]] or not alive[l_arr[c]]):
             c += 1
-        if c == total or d_arr[c] == INF:
+        if c == total:
             emit_remaining()
             break
         li = l_arr[c]
@@ -291,7 +302,7 @@ def loop_stream_min_sum(
         # peek the distance of the following active pair
         while c < total and (clustered[p_arr[c]] or not alive[l_arr[c]]):
             c += 1
-        if c == total or d_arr[c] == INF:
+        if c == total:
             emit_remaining()
             break
         r2 = d_arr[c]
@@ -320,7 +331,7 @@ def loop_stream_min_sum(
             # sweep aligned with the continuous one across dead gaps)
             while c < total and (clustered[p_arr[c]] or not alive[l_arr[c]]):
                 c += 1
-            if c == total or d_arr[c] == INF:
+            if c == total:
                 break  # outer loop will report the remaining points
             r2 = d_arr[c]
 

@@ -67,6 +67,23 @@ class TestGenerateCommand:
         assert code == 2
         assert json.loads(err)["error"] == "ParameterError"
 
+    @pytest.mark.parametrize("extra", [
+        ["--theta", "inf"],
+        ["--theta", "nan"],
+        ["--theta", "1.0", "--separation-factor", "nan"],
+        ["--theta", "1.0", "--separation-factor", "inf"],
+    ])
+    def test_non_finite_parameter_is_parameter_error(
+        self, capsys, tmp_path, extra
+    ):
+        code, _, err = run_cli(
+            capsys, "generate", "--sizes", "3,3", *extra,
+            "--output", str(tmp_path / "inst"),
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "ParameterError"
+        assert not (tmp_path / "inst").exists()
+
     @pytest.mark.parametrize("sizes, entry", [("3,abc", "'abc'"), ("", "''")])
     def test_bad_sizes_entry_is_parameter_error(
         self, capsys, tmp_path, sizes, entry

@@ -127,6 +127,15 @@ class TestGenerate:
         with pytest.raises(ParameterError):
             InstanceSpec(sizes=(5,), theta=1.0, separation_factor=0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ParameterError, match="theta"):
+            InstanceSpec(sizes=(3, 3), theta=bad)
+        with pytest.raises(ParameterError, match="separation_factor"):
+            InstanceSpec(sizes=(3, 3), theta=1.0, separation_factor=bad)
+        with pytest.raises(ParameterError, match="theta_per_cluster"):
+            InstanceSpec(sizes=(3, 3), theta=1.0, theta_per_cluster=(1.0, bad))
+
 
 class TestPlantLandmarks:
     def test_one_per_core(self):

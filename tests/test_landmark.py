@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,11 @@ from landmark_minsum import (
     sweep,
     threshold_from_opt,
 )
-from landmark_minsum.landmark import _as_clustering, _stream_min_sum
+from landmark_minsum.landmark import (
+    LandmarkTable,
+    _as_clustering,
+    _stream_min_sum,
+)
 
 from conftest import (
     criterion_07_case,
@@ -38,7 +43,14 @@ from conftest import (
     random_metric,
     random_symmetric,
 )
-from oracles import conceptual_cluster_min_sum, loop_stream_min_sum
+from oracles import (
+    conceptual_cluster_min_sum,
+    full_stream,
+    loop_stream_min_sum,
+)
+
+
+landmark_module = importlib.import_module("landmark_minsum.landmark")
 
 
 def two_pairs_matrix():
@@ -51,6 +63,16 @@ def two_pairs_matrix():
 
 def table_for(m, landmarks):
     return build_landmark_table(MatrixDistanceSource(m), landmarks)
+
+
+def streamed(table):
+    """`table.chunks()` concatenated: the (landmark position, point,
+    distance) columns of the whole finite stream."""
+    cols = ([np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)])
+    for chunk in table.chunks():
+        for col, part in zip(cols, chunk):
+            col.append(np.asarray(part))
+    return tuple(np.concatenate(col) for col in cols)
 
 
 class TestSampleLandmarks:
@@ -112,19 +134,22 @@ class TestBuildTable:
     def test_single_landmark_sorted(self):
         m = random_metric(15, 2, seed=1)
         t = table_for(m, [4])
-        assert np.all(np.diff(t.pair_dist) >= 0)
-        assert set(t.pair_point.tolist()) == set(range(15))
+        for _, point, dist in (streamed(t), full_stream(t)):
+            assert np.all(np.diff(dist) >= 0)
+            assert set(point.tolist()) == set(range(15))
 
     def test_all_equal_tie_break_lexicographic(self):
         vals = np.ones((4, 4))
         np.fill_diagonal(vals, 0.0)
         t = table_for(MetricMatrix(vals), [2, 0])
-        # zero batch first (landmark order), then lexicographic (position, point)
-        pairs = list(zip(t.pair_landmark.tolist(), t.pair_point.tolist()))
-        assert pairs[:2] == [(0, 2), (1, 0)]
-        expected = [(l, p) for l in (0, 1) for p in range(4)
-                    if p != (2 if l == 0 else 0)]
-        assert pairs[2:] == expected
+        for landmark, point, _ in (streamed(t), full_stream(t)):
+            # zero batch first (landmark order), then lexicographic
+            # (position, point)
+            pairs = list(zip(landmark.tolist(), point.tolist()))
+            assert pairs[:2] == [(0, 2), (1, 0)]
+            expected = [(l, p) for l in (0, 1) for p in range(4)
+                        if p != (2 if l == 0 else 0)]
+            assert pairs[2:] == expected
 
     def test_matches_naive_sort_oracle(self):
         m = random_metric(50, 3, seed=2)
@@ -135,9 +160,9 @@ class TestBuildTable:
             for j, l in enumerate(landmarks)
             for p in range(50)
         )
-        got = list(zip(t.pair_dist.tolist(), t.pair_landmark.tolist(),
-                       t.pair_point.tolist()))
-        assert got == naive
+        for landmark, point, dist in (streamed(t), full_stream(t)):
+            got = list(zip(dist.tolist(), landmark.tolist(), point.tolist()))
+            assert got == naive
 
     def test_matches_lexsort_with_ties_zeros_and_inf(self):
         rng = np.random.default_rng(4)
@@ -154,22 +179,73 @@ class TestBuildTable:
         l_flat = np.repeat(np.arange(12), 60)
         p_flat = np.tile(np.arange(60), 12)
         order = np.lexsort((p_flat, l_flat, rows.ravel()))
-        assert np.array_equal(t.pair_landmark, l_flat[order])
-        assert np.array_equal(t.pair_point, p_flat[order])
-        assert t.pair_dist.tobytes() == rows.ravel()[order].tobytes()
+        order = order[np.isfinite(rows.ravel()[order])]
+        for landmark, point, dist in (streamed(t), full_stream(t)):
+            assert np.array_equal(landmark, l_flat[order])
+            assert np.array_equal(point, p_flat[order])
+            assert dist.tobytes() == rows.ravel()[order].tobytes()
 
     def test_infinite_pairs_last(self):
+        # +inf pairs sort after every finite one, so the stream a run reads,
+        # cut before the first of them, holds no +inf pair at all
         vals = np.zeros((3, 3))
         vals[0, 1] = vals[1, 0] = 1.0
         vals[0, 2] = vals[2, 0] = math.inf
         vals[1, 2] = vals[2, 1] = 2.0
         t = table_for(MetricMatrix(vals), [0, 1])
-        assert math.isinf(t.pair_dist[-1])
-        assert np.all(np.isfinite(t.pair_dist[:-1]))
+        for landmark, point, dist in (streamed(t), full_stream(t)):
+            assert np.all(np.isfinite(dist))
+            assert sorted(zip(landmark.tolist(), point.tolist())) == [
+                (0, 0), (0, 1), (1, 0), (1, 1), (1, 2)
+            ]
+
+    def test_rows_are_read_only(self):
+        # each run sorts its stream from the rows, so they must not change
+        t = table_for(random_metric(6, 2, seed=3), [0, 2])
+        with pytest.raises(ValueError):
+            t.rows[0, 1] = 0.0
 
     def test_duplicate_landmarks_rejected(self):
         with pytest.raises(ParameterError):
             table_for(random_metric(5, 2, seed=3), [1, 1])
+
+
+@st.composite
+def chunk_cases(draw):
+    """Landmark rows for the chunked stream and a first-chunk size: the
+    rows repeat a few drawn values, so ties straddle chunk edges, 0.0 sits
+    beside -0.0 and +inf pairs occur; n' = n often, and n = 1 is a single
+    pair.  Tiny first chunks cut the stream at many edges, and sizes from
+    64 on read their cuts off a strided sample."""
+    n = draw(st.integers(1, 30), label="n")
+    n_prime = draw(st.one_of(st.just(n), st.integers(1, n)), label="n_prime")
+    pool = draw(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf]),
+        st.floats(0.0, 10.0),
+    ), min_size=1, max_size=6), label="pool")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = np.array(pool)[rng.integers(0, len(pool), size=(n_prime, n))]
+    first = draw(st.one_of(st.integers(1, 7), st.integers(64, 256)),
+                 label="first")
+    return LandmarkTable(list(range(n_prime)), rows, n), first
+
+
+class TestChunkedStream:
+    """Differential gate: the lazily sorted chunks against
+    `oracles.full_stream`, the one full stable sort they replace."""
+
+    @given(chunk_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_chunks_concatenate_to_the_full_sort(self, case):
+        table, first = case
+        with mock.patch.object(landmark_module, "_FIRST_CHUNK", first):
+            got = streamed(table)
+            dists = [np.asarray(dist) for _, _, dist in table.chunks()]
+        for col, ref in zip(got, full_stream(table)):
+            assert col.dtype == ref.dtype
+            assert col.tobytes() == ref.tobytes()
+        for dist, after in zip(dists, dists[1:]):
+            assert dist.size and dist[-1] < after[0]  # no tie split
 
 
 class TestClusterMinSum:
@@ -380,33 +456,37 @@ class TestMatchesLoopOracle:
     """Differential gate: the single-pass kernel against
     `oracles.loop_stream_min_sum`, the loop it replaced."""
 
-    @given(stream_cases())
+    @given(stream_cases(), st.integers(1, 7))
     @settings(max_examples=300, deadline=None)
-    def test_small_adversarial_tables(self, case):
-        # both stream forms: the views a single run reads in place and the
-        # lists a sweep converts once
+    def test_small_adversarial_tables(self, case, tiny):
+        # both stream forms, the views a single run reads in place and the
+        # lists a sweep converts once, cut at the default chunk size and at
+        # a tiny one that puts chunk edges inside the run
         table, k, t = case
         ref, ref_fired = loop_stream_min_sum(table, k, t)
-        views = table.finite_stream()
-        for stream in (views, [col.tolist() for col in views]):
-            clusters, fired = _stream_min_sum(table, k, t, stream)
-            run = _as_clustering(table, k, clusters)
-            assert run.clusters == ref.clusters
-            assert run.unassigned == ref.unassigned
-            assert run.cluster_landmarks == ref.cluster_landmarks
-            assert run.warnings == ref.warnings
-            assert fired == ref_fired
-            if fired == math.inf:  # nothing fired: every point is clustered
-                assert sum(map(len, clusters)) == table.n
+        for first in (landmark_module._FIRST_CHUNK, tiny):
+            with mock.patch.object(landmark_module, "_FIRST_CHUNK", first):
+                for chunks in (table.chunks(),
+                               ([col.tolist() for col in c]
+                                for c in table.chunks())):
+                    clusters, fired = _stream_min_sum(table, k, t, chunks)
+                    run = _as_clustering(table, k, clusters)
+                    assert run.clusters == ref.clusters
+                    assert run.unassigned == ref.unassigned
+                    assert run.cluster_landmarks == ref.cluster_landmarks
+                    assert run.warnings == ref.warnings
+                    assert fired == ref_fired
+                    if fired == math.inf:  # nothing fired: all clustered
+                        assert sum(map(len, clusters)) == table.n
 
     @pytest.mark.parametrize("trial", range(30))
     def test_criterion_07_sweeps(self, trial, monkeypatch):
-        # every run of the sweep, not only the winner, matches the oracle
+        # every run of the sweep, not only the winner, matches the oracle,
+        # at the default chunk size and at a tiny one
         table, k, b = criterion_07_case(trial)
-        oracle_runs = []
 
-        def checked(table, k, t, stream):
-            clusters, fired = _stream_min_sum(table, k, t, stream)
+        def checked(table, k, t, chunks):
+            clusters, fired = _stream_min_sum(table, k, t, chunks)
             ref, ref_fired = loop_stream_min_sum(table, k, t)
             assert _as_clustering(table, k, clusters).to_dict() == ref.to_dict()
             assert fired == ref_fired
@@ -416,12 +496,15 @@ class TestMatchesLoopOracle:
         # the package's `sweep` attribute is the function, not the module
         sweep_module = importlib.import_module("landmark_minsum.sweep")
         monkeypatch.setattr(sweep_module, "_stream_min_sum", checked)
-        res = sweep(table, k, b)
-        assert res.coverage_per_candidate == [
-            (t, ref.points_clustered()) for t, ref in oracle_runs
-        ]
-        winner = assign_remainder(oracle_runs[-1][1], table)
-        assert res.clustering.to_dict() == winner.to_dict()
+        for first in (landmark_module._FIRST_CHUNK, 1 + trial % 7):
+            monkeypatch.setattr(landmark_module, "_FIRST_CHUNK", first)
+            oracle_runs = []
+            res = sweep(table, k, b)
+            assert res.coverage_per_candidate == [
+                (t, ref.points_clustered()) for t, ref in oracle_runs
+            ]
+            winner = assign_remainder(oracle_runs[-1][1], table)
+            assert res.clustering.to_dict() == winner.to_dict()
 
     def test_sweep_builds_one_clustering(self, monkeypatch):
         # runs return bare clusters; only the winner and its remainder
@@ -434,7 +517,6 @@ class TestMatchesLoopOracle:
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
-        landmark_module = importlib.import_module("landmark_minsum.landmark")
         monkeypatch.setattr(landmark_module, "Clustering", Counted)
         res = sweep(table, k, b)
         assert res.runs_executed > 2
@@ -444,14 +526,18 @@ class TestMatchesLoopOracle:
 
 class TestStreamReadInPlace:
     """Runs keep no copy of the pair stream on the table: it stays as built,
-    and a run that stops early allocates next to nothing."""
+    the build sorts nothing, and a run that stops early allocates next to
+    nothing and sorts only the chunks it reached."""
 
     @pytest.fixture(scope="class")
-    def table(self):
+    def source(self):
         n = 20_000  # 320k pairs
         pts = np.random.default_rng(20).uniform(0, 100, size=(n, 4))
-        return build_landmark_table(PointCloudDistanceSource(pts),
-                                    sample_landmarks(n, 16, seed=20))
+        return PointCloudDistanceSource(pts)
+
+    @pytest.fixture(scope="class")
+    def table(self, source):
+        return build_landmark_table(source, sample_landmarks(source.n, 16, seed=20))
 
     def test_runs_leave_the_table_as_built(self, table):
         before = dict(vars(table))
@@ -461,13 +547,43 @@ class TestStreamReadInPlace:
         assert after.keys() == before.keys()
         assert all(after[key] is value for key, value in before.items())
 
+    def test_build_allocates_only_the_rows(self, source, table):
+        landmarks = sample_landmarks(source.n, 16, seed=20)
+        build_landmark_table(source, landmarks)  # first-use allocations
+        tracemalloc.start()
+        try:
+            built = build_landmark_table(source, landmarks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.rows.tobytes() == table.rows.tobytes()
+        assert peak <= built.rows.nbytes + 2**20, peak
+
     def test_short_run_allocates_little(self, table):
         tracemalloc.start()
         try:
-            clusters, _ = _stream_min_sum(table, 3, 1.0, table.finite_stream())
+            clusters, _ = _stream_min_sum(table, 3, 1.0, table.chunks())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(clusters) == 3
         assert table.n - sum(map(len, clusters)) > table.n // 2
         assert peak < 5 * 2**20, peak
+
+    def test_sweep_converts_only_the_chunks_its_run_reached(self, table,
+                                                            monkeypatch):
+        sorted_chunks = list(table.chunks())
+        pulled = []
+
+        def counted(self):
+            for chunk in sorted_chunks:
+                pulled.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(LandmarkTable, "chunks", counted)
+        res = sweep(table, 3, table.n - 1)
+        assert res.runs_executed == 1
+        reached = len(pulled)
+        pulled.clear()
+        cluster_min_sum(table, 3, res.chosen_threshold)  # the same run
+        assert len(pulled) == reached < len(sorted_chunks)

@@ -1,4 +1,7 @@
+import importlib
+import json
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +32,9 @@ from conftest import criterion_07_case, euclidean_matrix, random_metric
 from oracles import candidate_sweep, enumerate_thresholds
 
 
+landmark_module = importlib.import_module("landmark_minsum.landmark")
+
+
 def table_for(m, landmarks):
     return build_landmark_table(MatrixDistanceSource(m), landmarks)
 
@@ -41,7 +47,9 @@ def small_verified_instance(seed=0, bad_fraction=0.0):
 
 def assert_matches_oracle(table, k, b):
     """The jump walk stops where the candidate-by-candidate walk stops, with
-    the same clustering, and runs only thresholds the oracle runs."""
+    the same clustering, and runs only thresholds the oracle runs.  A tiny
+    first chunk, which puts chunk edges inside the runs, gives the same
+    result byte for byte."""
     try:
         ref = candidate_sweep(table, k, b)
     except DataError:
@@ -49,6 +57,9 @@ def assert_matches_oracle(table, k, b):
             sweep(table, k, b)
         return
     res = sweep(table, k, b)
+    with mock.patch.object(landmark_module, "_FIRST_CHUNK", 3):
+        tiny = sweep(table, k, b)
+    assert json.dumps(tiny.to_dict()) == json.dumps(res.to_dict())
     assert res.chosen_threshold == ref.chosen_threshold
     assert res.clustering.clusters == ref.clustering.clusters
     assert res.clustering.unassigned == ref.clustering.unassigned
@@ -192,7 +203,7 @@ class TestSweep:
         t = table_for(m, sample_landmarks(18, 5, seed=10))
         cands = enumerate_thresholds(t).tolist()
         for lo in cands[::7]:
-            clusters, fired = _stream_min_sum(t, 3, lo, t.finite_stream())
+            clusters, fired = _stream_min_sum(t, 3, lo, t.chunks())
             run = _as_clustering(t, 3, clusters)
             assert fired > lo
             assert fired == np.inf or fired in cands
