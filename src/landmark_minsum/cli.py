@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import DataError, LandmarkMinsumError, ParameterError, open_input
+from .errors import LandmarkMinsumError, ParameterError, open_input, open_output
 from .evaluation import (
     DEFAULT_BRUTE_CAP,
     balanced_k_median,
@@ -57,10 +57,10 @@ from .sweep import stop_bound_from, sweep
 
 SEED_ENV_VAR = "LANDMARK_MINSUM_SEED"
 
-# the first class in an error's MRO that appears here gives the exit code
+# the first class in an error's MRO that appears here gives the exit code;
+# a DataError gives 3 through its base class
 _EXIT_CODES = {
     ParameterError: 2,
-    DataError: 3,
     LandmarkMinsumError: 3,
 }
 
@@ -78,11 +78,12 @@ def _resolve_seed(args) -> int:
 
 
 def _emit(payload: dict, args) -> None:
-    indent = None if getattr(args, "format", "json") == "compact" else 2
+    indent = None if args.format == "compact" else 2
     text = json.dumps(payload, indent=indent, sort_keys=True)
-    out = getattr(args, "output", None)
+    out = getattr(args, "output", None)  # generate and ingest have none
     if out:
-        Path(out).write_text(text + "\n")
+        with open_output(out) as fh:
+            fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
 
@@ -112,15 +113,46 @@ def _stability_from(args) -> StabilityParams | None:
     )
 
 
-def _clustering_payload(c: Clustering, params: dict, queries: int) -> dict:
-    payload = c.to_dict()
-    payload["params"] = params
-    payload["queries_issued"] = queries
-    return payload
+def _query_setup(args, command: str) -> tuple[MatrixDistanceSource, dict]:
+    """What cluster, sweep and baseline share: the seed, the matrix, the k
+    check, a source that counts queries against --budget, and the params
+    block every artifact carries."""
+    seed = _resolve_seed(args)
+    matrix = _load_matrix(args)
+    if args.k is None:
+        raise ParameterError("--k is required")
+    source = MatrixDistanceSource(matrix, QueryLedger(budget=args.budget))
+    params = {"command": command, "version": __version__, "seed": seed, "k": args.k}
+    return source, params
+
+
+def _landmark_table(args, source, params: dict):
+    """Sample n' landmarks (from --landmarks, else from the stability
+    parameters), query them, and record them in `params`."""
+    stability = _stability_from(args)
+    if args.landmarks is not None:
+        n_prime = args.landmarks
+    elif stability is not None:
+        n_prime = landmark_count_for(stability, args.k, source.n)
+    else:
+        raise ParameterError("need --landmarks or stability parameters")
+    table = build_landmark_table(
+        source, sample_landmarks(source.n, n_prime, params["seed"])
+    )
+    params.update(
+        landmarks=n_prime,
+        landmark_ids=table.landmark_ids,
+        stability=stability.to_dict() if stability else None,
+    )
+    return table, stability
+
+
+def _artifact(body: dict, source, params: dict) -> dict:
+    return {**body, "params": params, "queries_issued": source.ledger.queries_issued}
 
 
 def cmd_generate(args) -> dict:
-    if args.output is None:
+    if args.bundle is None:
         raise ParameterError("generate needs --output DIRECTORY")
     seed = _resolve_seed(args)
     try:
@@ -138,12 +170,10 @@ def cmd_generate(args) -> dict:
         seed=seed,
     )
     inst = generate(spec)
-    save_bundle(inst, args.output)
-    bundle_dir = args.output
-    args.output = None  # bundle owns the path; summary goes to stdout
+    save_bundle(inst, args.bundle)
     return {
         "version": __version__,
-        "output": str(bundle_dir),
+        "output": str(args.bundle),
         "n": inst.n,
         "k": spec.k,
         "seed": seed,
@@ -152,103 +182,50 @@ def cmd_generate(args) -> dict:
     }
 
 
-def _landmark_setup(args, matrix: MetricMatrix, k: int, seed: int):
-    stability = _stability_from(args)
-    if args.landmarks is not None:
-        n_prime = args.landmarks
-    elif stability is not None:
-        n_prime = landmark_count_for(stability, k, matrix.n)
-    else:
-        raise ParameterError("need --landmarks or stability parameters")
-    ledger = QueryLedger(budget=args.budget)
-    source = MatrixDistanceSource(matrix, ledger)
-    landmark_ids = sample_landmarks(matrix.n, n_prime, seed)
-    table = build_landmark_table(source, landmark_ids)
-    return table, ledger, stability, n_prime
-
-
 def cmd_cluster(args) -> dict:
-    seed = _resolve_seed(args)
-    matrix = _load_matrix(args)
-    k = args.k
-    if k is None:
-        raise ParameterError("--k is required")
-    table, ledger, stability, n_prime = _landmark_setup(args, matrix, k, seed)
+    source, params = _query_setup(args, "cluster")
+    table, stability = _landmark_table(args, source, params)
+    if args.threshold is not None and args.opt is not None:
+        raise ParameterError("--threshold and --opt both set the threshold: give one")
     if args.threshold is not None:
         threshold = args.threshold
     elif args.opt is not None:
         if stability is None:
             raise ParameterError("--opt needs --alpha and --epsilon")
         threshold = threshold_from_opt(
-            stability.alpha, stability.epsilon, args.opt, matrix.n
+            stability.alpha, stability.epsilon, args.opt, source.n
         )
     else:
         raise ParameterError("need --threshold, or --opt with stability params")
-    run = cluster_min_sum(table, k, threshold)
+    run = cluster_min_sum(table, args.k, threshold)
     if not args.raw:
         run = assign_remainder(run, table)
-    params = {
-        "command": "cluster",
-        "version": __version__,
-        "seed": seed,
-        "k": k,
-        "landmarks": n_prime,
-        "landmark_ids": table.landmark_ids,
-        "threshold": threshold,
-        "raw": bool(args.raw),
-        "stability": stability.to_dict() if stability else None,
-    }
-    return _clustering_payload(run, params, ledger.queries_issued)
+    params.update(threshold=threshold, raw=bool(args.raw))
+    return _artifact(run.to_dict(), source, params)
 
 
 def cmd_sweep(args) -> dict:
-    seed = _resolve_seed(args)
-    matrix = _load_matrix(args)
-    k = args.k
-    if k is None:
-        raise ParameterError("--k is required")
-    table, ledger, stability, n_prime = _landmark_setup(args, matrix, k, seed)
+    source, params = _query_setup(args, "sweep")
+    table, stability = _landmark_table(args, source, params)
     if args.stop_bound is not None:
         bound = args.stop_bound
     elif stability is not None:
-        bound = stop_bound_from(stability, matrix.n)
+        bound = stop_bound_from(stability, source.n)
     else:
         raise ParameterError("need --stop-bound or stability parameters")
-    result = sweep(table, k, bound)
-    payload = result.to_dict()
-    payload["params"] = {
-        "command": "sweep",
-        "version": __version__,
-        "seed": seed,
-        "k": k,
-        "landmarks": n_prime,
-        "landmark_ids": table.landmark_ids,
-        "stop_bound": bound,
-        "stability": stability.to_dict() if stability else None,
-    }
-    payload["queries_issued"] = ledger.queries_issued
-    return payload
+    params["stop_bound"] = bound
+    return _artifact(sweep(table, args.k, bound).to_dict(), source, params)
 
 
 def cmd_baseline(args) -> dict:
-    seed = _resolve_seed(args)
-    matrix = _load_matrix(args)
-    if args.k is None or args.landmarks is None:
-        raise ParameterError("baseline needs --k and --landmarks")
-    ledger = QueryLedger(budget=args.budget)
-    source = MatrixDistanceSource(matrix, ledger)
+    source, params = _query_setup(args, "baseline")
+    if args.landmarks is None:
+        raise ParameterError("baseline needs --landmarks")
     run = embed_kmeans_baseline(
-        source, args.landmarks, args.k, seed=seed, max_iters=args.max_iters
+        source, args.landmarks, args.k, seed=params["seed"], max_iters=args.max_iters
     )
-    params = {
-        "command": "baseline",
-        "version": __version__,
-        "seed": seed,
-        "k": args.k,
-        "landmarks": args.landmarks,
-        "max_iters": args.max_iters,
-    }
-    return _clustering_payload(run, params, ledger.queries_issued)
+    params.update(landmarks=args.landmarks, max_iters=args.max_iters)
+    return _artifact(run.to_dict(), source, params)
 
 
 def cmd_evaluate(args) -> dict:
@@ -317,21 +294,19 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_ingest(args) -> dict:
-    if args.output is None:
+    if args.matrix_output is None:
         raise ParameterError("ingest needs --output for the matrix CSV")
     pairs, labels = read_pair_file(args.input)
     matrix = ingest_similarity(pairs, policy=args.policy)
-    matrix.to_csv(args.output)
-    matrix_path = args.output
-    args.output = None  # matrix owns the path; summary goes to stdout
+    matrix.to_csv(args.matrix_output)
     payload: dict = {
         "version": __version__,
         "n": matrix.n,
-        "output": str(matrix_path),
+        "output": str(args.matrix_output),
         "policy": args.policy,
     }
     if args.ids_output:
-        with open(args.ids_output, "w") as fh:
+        with open_output(args.ids_output) as fh:
             fh.write("point_id,label\n")
             for i, lab in enumerate(labels):
                 fh.write(f"{i},{lab}\n")
@@ -339,14 +314,17 @@ def cmd_ingest(args) -> dict:
     return payload
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, **output) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
-    _add_output(p)
+    _add_output(p, **output)
 
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", default=None, help="output file (default stdout)")
+def _add_output(p: argparse.ArgumentParser, dest: str = "output",
+                help: str = "output file (default stdout)") -> None:
+    """`dest` is not "output" where the flag names the file or directory
+    that generate and ingest write; they print their summary to stdout."""
+    p.add_argument("--output", dest=dest, default=None, help=help)
     p.add_argument("--format", choices=["json", "compact"], default="json")
 
 
@@ -354,6 +332,16 @@ def _add_matrix_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=False, help="matrix CSV or pair TSV")
     p.add_argument("--policy", choices=SYMMETRIZE_POLICIES,
                    default="min_distance", help="pair symmetrization policy")
+
+
+def _add_query_input(p: argparse.ArgumentParser) -> None:
+    """The flags `_query_setup` reads, and `--landmarks`."""
+    _add_matrix_input(p)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--landmarks", type=int, default=None,
+                   help="landmarks n', one one-versus-all query each")
+    p.add_argument("--budget", type=int, default=None,
+                   help="hard cap on one-versus-all queries")
 
 
 def _add_stability(p: argparse.ArgumentParser) -> None:
@@ -377,17 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation-factor", type=float, default=1.5)
     p.add_argument("--bad-fraction", type=float, default=0.0)
     p.add_argument("--embed-dim", type=int, default=None)
-    _add_common(p)
+    _add_common(p, dest="bundle", help="bundle directory to write")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("cluster", help="run the landmark clustering once")
-    _add_matrix_input(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--landmarks", type=int, default=None)
+    _add_query_input(p)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--opt", type=float, default=None,
                    help="known optimum; threshold becomes alpha*OPT/(40*eps*n)")
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--raw", action="store_true",
                    help="skip remainder assignment")
     _add_stability(p)
@@ -401,23 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
         "positive landmark-point distance and jump to each run's smallest "
         "fired size x distance product until a run clusters n - b points.",
     )
-    _add_matrix_input(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--landmarks", type=int, default=None)
+    _add_query_input(p)
     p.add_argument("--stop-bound", type=int, default=None,
                    help="stop once n - b points are clustered")
-    p.add_argument("--budget", type=int, default=None)
     _add_stability(p)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("baseline", help="embed-then-k-means comparison run")
-    _add_matrix_input(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--landmarks", type=int, default=None,
-                   help="embedding dimension = number of queries")
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--budget", type=int, default=None)
+    _add_query_input(p)
+    p.add_argument("--max-iters", type=int, default=100,
+                   help="Lloyd rounds, at least 1")
     _add_common(p)
     p.set_defaults(func=cmd_baseline)
 
@@ -443,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=SYMMETRIZE_POLICIES,
                    default="min_distance")
     p.add_argument("--ids-output", default=None)
-    _add_output(p)
+    _add_output(p, dest="matrix_output", help="distance matrix CSV to write")
     p.set_defaults(func=cmd_ingest)
 
     return parser
@@ -453,12 +432,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.func(args)
+        _emit(args.func(args), args)
     except LandmarkMinsumError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error) + "\n")
         return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
-    _emit(payload, args)
     return 0
 
 

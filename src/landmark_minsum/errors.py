@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and `open_input`, the
-one way the readers open an input file.
+"""Exception hierarchy shared across the package, and `open_input` and
+`open_output`, the one way the package opens a file to read or to write.
 
 The CLI maps them to exit codes in `cli._EXIT_CODES`: ParameterError -> 2,
 DataError -> 3.
@@ -32,13 +32,24 @@ class InvariantViolation(DataError):
     """An internal contract did not hold (e.g. no clustered landmark exists)."""
 
 
-@contextmanager
 def open_input(path):
     """Open an input file for reading; one that cannot be opened (missing,
     a directory, unreadable) is a DataError naming the path."""
+    return _open(path, "r", "cannot open")
+
+
+def open_output(path):
+    """Open an output file for writing; one that cannot be created (in a
+    missing directory, a directory, read-only) is a DataError naming the
+    path."""
+    return _open(path, "w", "cannot write")
+
+
+@contextmanager
+def _open(path, mode: str, failure: str):
     try:
-        fh = open(path)
+        fh = open(path, mode)
     except OSError as exc:
-        raise DataError(f"{path}: cannot open: {exc.strerror}") from None
+        raise DataError(f"{path}: {failure}: {exc.strerror}") from None
     with fh:
         yield fh

@@ -438,12 +438,15 @@ def embed_kmeans_baseline(
 
     Uses exactly d_landmarks one-versus-all queries.  Centers start as a
     uniform sample of distinct points; iteration stops at an assignment
-    fixpoint or after max_iters.  Points with infinite coordinates are
-    assigned by their finite coordinates only and sit out centroid updates.
+    fixpoint or after max_iters (at least 1) rounds.  Points with infinite
+    coordinates are assigned by their finite coordinates only and sit out
+    centroid updates.
     """
     n = source.n
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if max_iters < 1:  # with no iteration no point would get a label
+        raise ParameterError(f"need max_iters >= 1, got {max_iters}")
     landmarks = sample_landmarks(n, d_landmarks, seed)
     rows = np.vstack([source.query_one_vs_all(l) for l in landmarks])
     emb = rows.T.copy()  # point i -> distances to the d landmarks

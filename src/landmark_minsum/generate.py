@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, GenerationError, ParameterError, open_input
+from .errors import (
+    DataError,
+    GenerationError,
+    ParameterError,
+    open_input,
+    open_output,
+)
 from .evaluation import _members, balanced_k_median
 from .landmark import Clustering, StabilityParams, _non_negative_int
 from .metric import MetricMatrix, _label_sort_key, euclidean_rows
@@ -332,7 +338,10 @@ def generate_adversarial(kind: str, n: int, k: int, seed: int = 0) -> Instance:
 def save_bundle(inst: Instance, directory) -> None:
     """Write matrix CSV + label CSV + instance JSON into one directory."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path is an existing file
+        raise DataError(f"{directory}: cannot write: {exc.strerror}") from None
     inst.matrix.to_csv(directory / "matrix.csv")
     write_labels_csv(directory / "labels.csv", inst.target.labels())
     meta = {
@@ -341,13 +350,13 @@ def save_bundle(inst: Instance, directory) -> None:
         "stability": inst.stability.to_dict() if inst.stability else None,
         "core_members": inst.core_members,
     }
-    with open(directory / "instance.json", "w") as fh:
+    with open_output(directory / "instance.json") as fh:
         json.dump(meta, fh, indent=2)
 
 
 def write_labels_csv(path, labels_by_point) -> None:
     """Write the `point_id,cluster_label` file, header line first."""
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("point_id,cluster_label\n")
         for pid, lab in enumerate(labels_by_point):
             fh.write(f"{pid},{lab}\n")

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, DataError, ParameterError, open_input
+from .errors import (
+    BudgetExhaustedError,
+    DataError,
+    ParameterError,
+    open_input,
+    open_output,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -137,12 +143,12 @@ class MetricMatrix:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DataError(f"expected a square matrix, got shape {values.shape}")
-        if np.isnan(values).any():
-            raise DataError("distance matrix contains NaN")
-        finite_or_inf = np.isfinite(values) | np.isposinf(values)
-        if not finite_or_inf.all():
-            raise DataError("distances must be finite or +inf")
-        if (values < 0).any():
+        # one pass on the fast path: NaN, -inf and negatives all fail it
+        if not (values >= 0).all():
+            if np.isnan(values).any():
+                raise DataError("distance matrix contains NaN")
+            if np.isneginf(values).any():
+                raise DataError("distances must be finite or +inf")
             i, j = np.argwhere(values < 0)[0]
             raise DataError(f"negative distance at ({i},{j})")
         if not np.array_equal(values, values.T):
@@ -161,7 +167,7 @@ class MetricMatrix:
 
     def to_csv(self, path) -> None:
         """Write `n` on the first line, then n rows of repr-exact values."""
-        with open(path, "w") as fh:
+        with open_output(path) as fh:
             fh.write(f"{self.n}\n")
             for row in self.values:
                 # repr is the shortest round-trip form, and repr(inf) == "inf"
@@ -206,7 +212,7 @@ def _raise_csv_problem(path, n: int) -> None:
     Returns if every line splits into n floats (e.g. `1_0`, which `float`
     accepts and `np.loadtxt` does not).
     """
-    with open(path) as fh:
+    with open_input(path) as fh:
         fh.readline()
         row = 0
         for lineno, line in enumerate(fh, 2):

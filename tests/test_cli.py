@@ -136,6 +136,19 @@ class TestClusterCommand:
             1.0 * 800 / (40 * 0.05 * 20)
         )
 
+    def test_threshold_with_opt_is_parameter_error(self, capsys, bundle_dir):
+        # both flags set the threshold; neither is dropped silently
+        out, _ = bundle_dir
+        code, stdout, err = run_cli(
+            capsys, "cluster", "--input", str(out / "matrix.csv"), "--k", "3",
+            "--landmarks", "6", "--threshold", "30", "--opt", "5",
+            "--alpha", "1", "--epsilon", "0.004",
+        )
+        assert code == 2 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert "--threshold" in payload["message"] and "--opt" in payload["message"]
+
     def test_missing_threshold_is_parameter_error(self, capsys, tmp_path):
         path = write_matrix(tmp_path, random_metric(10, 2, seed=4))
         code, _, err = run_cli(
@@ -237,6 +250,42 @@ class TestBaselineCommand:
         payload = json.loads(stdout)
         assert payload["queries_issued"] == 5
         assert sum(len(c) for c in payload["clusters"]) == 66
+
+    @pytest.mark.parametrize("max_iters", ["0", "-4"])
+    def test_max_iters_below_one_is_parameter_error(
+        self, capsys, bundle_dir, max_iters
+    ):
+        out, _ = bundle_dir
+        code, stdout, err = run_cli(
+            capsys, "baseline", "--input", str(out / "matrix.csv"),
+            "--k", "3", "--landmarks", "5", "--max-iters", max_iters,
+        )
+        assert code == 2 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert "max_iters" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--input", "{matrix}", "--k", "3", "--landmarks", "5",
+     "--threshold", "30"],
+    ["sweep", "--input", "{matrix}", "--k", "3", "--landmarks", "5",
+     "--stop-bound", "3"],
+    ["baseline", "--input", "{matrix}", "--k", "3", "--landmarks", "5"],
+], ids=["cluster", "sweep", "baseline"])
+def test_landmark_commands_share_params(capsys, bundle_dir, argv):
+    # one setup: the same common params block, and one query per landmark
+    out, _ = bundle_dir
+    argv = [a.format(matrix=out / "matrix.csv") for a in argv]
+    code, stdout, _ = run_cli(capsys, *argv, "--seed", "4")
+    assert code == 0
+    payload = json.loads(stdout)
+    params = payload["params"]
+    assert {"command", "version", "seed", "k", "landmarks"} <= params.keys()
+    assert params["command"] == argv[0]
+    assert params["version"] == landmark_minsum.__version__
+    assert (params["seed"], params["k"]) == (4, 3)
+    assert payload["queries_issued"] == params["landmarks"] == 5
 
 
 class TestEvaluateCommand:
@@ -365,6 +414,18 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(stdout)["stability_holds"] is True
 
+    def test_brute_cap_below_n_is_parameter_error(self, capsys, tmp_path):
+        out = tmp_path / "tiny"
+        save_bundle(generate(InstanceSpec(sizes=(5, 4), theta=1.5, seed=11)), out)
+        code, stdout, err = run_cli(
+            capsys, "verify", "--input", str(out), "--check-stability",
+            "--brute-cap", "8",
+        )
+        assert code == 2 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert "n=9 exceeds cap 8" in payload["message"]
+
     def test_bundle_label_file_missing_point_is_data_error(
         self, capsys, bundle_dir
     ):
@@ -479,6 +540,29 @@ class TestMissingInput:
         payload = json.loads(err)
         assert payload["error"] == "DataError"
         assert f"{missing}: cannot open" in payload["message"]
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["cluster", "--input", "{matrix}", "--k", "3", "--landmarks", "5",
+      "--threshold", "30", "--output", "{tmp}/nodir/c.json"], "nodir/c.json"),
+    (["ingest", "--input", "{tsv}", "--output", "{tmp}/nodir/m.csv"],
+     "nodir/m.csv"),
+    (["ingest", "--input", "{tsv}", "--output", "{tmp}/m.csv",
+      "--ids-output", "{tmp}/nodir/ids.csv"], "nodir/ids.csv"),
+    (["generate", "--sizes", "5,5", "--theta", "1", "--output", "{tmp}/a_file"],
+     "a_file"),
+], ids=["cluster-output", "ingest-output", "ingest-ids-output", "generate-onto-file"])
+def test_unwritable_output_is_data_error(capsys, bundle_dir, tmp_path, argv, path):
+    out, _ = bundle_dir
+    tsv = tmp_path / "pairs.tsv"
+    tsv.write_text("id_a\tid_b\tbit_score\na\tb\t50\n")
+    (tmp_path / "a_file").write_text("")
+    argv = [a.format(matrix=out / "matrix.csv", tsv=tsv, tmp=tmp_path) for a in argv]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 3 and stdout == ""
+    payload = json.loads(err)
+    assert payload["error"] == "DataError"
+    assert payload["message"].startswith(f"{tmp_path / path}: cannot write: ")
 
 
 class TestIngestCommand:

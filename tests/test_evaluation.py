@@ -568,6 +568,20 @@ class TestEmbedKMeansBaseline:
         got = embed_kmeans_baseline(MatrixDistanceSource(m), 3, k=1, seed=0)
         assert got.clusters == [list(range(10))]
 
+    @pytest.mark.parametrize("max_iters", [0, -4])
+    def test_max_iters_below_one_refused(self, max_iters):
+        # with no Lloyd round no point gets a label, and _members would put
+        # every point into the last cluster; refused before any query
+        src = MatrixDistanceSource(random_metric(15, 2, seed=15))
+        with pytest.raises(ParameterError, match=f"max_iters >= 1, got {max_iters}"):
+            embed_kmeans_baseline(src, 3, k=3, seed=0, max_iters=max_iters)
+        assert src.ledger.queries_issued == 0
+
+    def test_one_round_labels_every_point(self):
+        m = random_metric(15, 2, seed=15)
+        got = embed_kmeans_baseline(MatrixDistanceSource(m), 3, k=3, seed=0, max_iters=1)
+        assert got.is_partition()
+
     def test_infinite_coordinates_warned_and_assigned(self):
         vals = np.zeros((6, 6))
         pts = [0.0, 0.2, 0.4, 10.0, 10.2, 10.4]

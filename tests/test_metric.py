@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -183,6 +184,33 @@ class TestMetricMatrix:
         vals[0, 1] = vals[1, 0] = float("nan")
         with pytest.raises(DataError):
             MetricMatrix(vals)
+
+    @pytest.mark.parametrize("cells, message", [
+        ({(0, 2): math.nan}, "contains NaN"),
+        ({(0, 2): -math.inf}, "finite or \\+inf"),
+        ({(1, 2): -1.0}, r"negative distance at \(1,2\)"),
+        # with several faults NaN is named first, then -inf, then a negative
+        ({(0, 1): -1.0, (0, 2): -math.inf, (1, 2): math.nan}, "contains NaN"),
+        ({(0, 1): -1.0, (1, 2): -math.inf}, "finite or \\+inf"),
+    ], ids=["nan", "minus-inf", "negative", "all-three", "minus-inf-and-negative"])
+    def test_bad_value_named(self, cells, message):
+        vals = np.zeros((3, 3))
+        for (i, j), v in cells.items():
+            vals[i, j] = vals[j, i] = v
+        with pytest.raises(DataError, match=message):
+            MetricMatrix(vals)
+
+    def test_checks_free_their_masks_before_the_copy(self):
+        # the one copy is the only n x n allocation alive at the peak
+        vals = random_metric(600, 2, seed=6).values.copy()
+        MetricMatrix(vals)  # first-use allocations
+        tracemalloc.start()
+        try:
+            MetricMatrix(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= vals.nbytes + vals.size // 2, peak
 
     def test_immutable(self):
         m = random_metric(4, 2, seed=5)
