@@ -13,10 +13,17 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
-from .errors import LandmarkMinsumError, ParameterError, open_input, open_output
+from .errors import (
+    DataError,
+    LandmarkMinsumError,
+    ParameterError,
+    open_input,
+    open_output,
+)
 from .evaluation import (
     DEFAULT_BRUTE_CAP,
     balanced_k_median,
@@ -298,19 +305,26 @@ def cmd_ingest(args) -> dict:
         raise ParameterError("ingest needs --output for the matrix CSV")
     pairs, labels = read_pair_file(args.input)
     matrix = ingest_similarity(pairs, policy=args.policy)
-    matrix.to_csv(args.matrix_output)
     payload: dict = {
         "version": __version__,
         "n": matrix.n,
         "output": str(args.matrix_output),
         "policy": args.policy,
     }
-    if args.ids_output:
-        with open_output(args.ids_output) as fh:
-            fh.write("point_id,label\n")
+    # the ids file is opened first, so an unwritable ids path leaves no
+    # matrix behind; an unwritable matrix path removes the ids file again
+    with open_output(args.ids_output) if args.ids_output else nullcontext() as ids:
+        try:
+            matrix.to_csv(args.matrix_output)
+        except DataError:
+            if ids is not None:
+                os.remove(args.ids_output)
+            raise
+        if ids is not None:
+            ids.write("point_id,label\n")
             for i, lab in enumerate(labels):
-                fh.write(f"{i},{lab}\n")
-        payload["ids_output"] = str(args.ids_output)
+                ids.write(f"{i},{lab}\n")
+            payload["ids_output"] = str(args.ids_output)
     return payload
 
 

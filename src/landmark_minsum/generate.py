@@ -197,7 +197,7 @@ def _sample_ball(center: np.ndarray, radius: float, count: int, rng) -> np.ndarr
 
 
 def _euclidean_matrix(points: np.ndarray) -> MetricMatrix:
-    return MetricMatrix(euclidean_rows(points, slice(None)))
+    return MetricMatrix(euclidean_rows(points, slice(None)), copy=False)
 
 
 def generate(spec: InstanceSpec) -> Instance:
@@ -306,7 +306,7 @@ def generate_adversarial(kind: str, n: int, k: int, seed: int = 0) -> Instance:
     if kind == "uniform":
         values = np.ones((n, n))
         np.fill_diagonal(values, 0.0)
-        matrix = MetricMatrix(values)
+        matrix = MetricMatrix(values, copy=False)
         clusters = [sorted(range(i, n, k)) for i in range(k)]
         target = Clustering(n=n, clusters=clusters)
         return Instance(matrix, target, clusters, kind=kind)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import compress, filterfalse
+from operator import length_hint
+from typing import NamedTuple
 
 import numpy as np
 
@@ -305,16 +307,37 @@ def cluster_min_sum(table: LandmarkTable, k: int, threshold: float) -> Clusterin
     return _as_clustering(table, k, clusters)
 
 
+class _RunState(NamedTuple):
+    """A run's state just before the test of the pair at `offset` in chunk
+    `chunk` of the stream: what `_stream_min_sum` needs to go on from there.
+    `dead` holds the positions of the clustered landmarks, `clusters` the
+    clusters extracted so far and `fired` the smallest product fired so far.
+    """
+
+    chunk: int
+    offset: int
+    clustered: set[int]
+    dead: set[int]
+    balls: list[set[int]]
+    sizes: list[int]
+    max_size: int
+    clusters: list[set[int]]
+    fired: float
+    last: float | None
+
+
 def _stream_min_sum(
     table: LandmarkTable,
     k: int,
     threshold: float,
     chunks,
-) -> tuple[list[list[int]], float]:
+    start: _RunState | None = None,
+    saves: list[_RunState] | None = None,
+) -> tuple[list, float]:
     """One run of `cluster_min_sum`: its bare clusters and the smallest
     product max_size * r that fired.
 
-    The clusters are the extracted ones in extraction order, each sorted,
+    The clusters are the extracted ones in extraction order, as sets,
     then, if the finite stream ran out before k extractions, the remaining
     points as one last cluster; so their total size is the run's coverage.
     `chunks` yields the stream's chunks in order, each as its (landmark
@@ -325,67 +348,89 @@ def _stream_min_sum(
     depends on T only through its tests `max_size * r > T`, so every
     threshold in [T, smallest fired product) gives the same run; the
     product is +inf when no test fired.
+
+    With `saves` a list, the run appends its state before each record-low
+    extraction, one whose product is below every product fired before it
+    in the run; the first extraction at the run's smallest fired product
+    is the last of them.  A run started from such a state, at a threshold
+    equal to its extraction's product, is the run at that threshold: every
+    earlier test has the same outcome there, and this one does not fire.
+    `chunks` then yields the stream from the state's chunk on.  Both need
+    the chunks as lists; the run takes the state over and changes it.
     """
     n = table.n
     _validate_run(n, k, threshold)
     T = float(threshold)
 
     lid = table.landmark_ids
-    clustered = bytearray(n)
-    # a landmark is alive while its own point is unclustered, and the ball
-    # of a dead landmark is empty
-    balls: list[set] = [set() for _ in lid]
-    sizes = [0] * len(lid)
-    max_size = 0
-    clusters: list[list[int]] = []
-
-    fired = INF
-    last = None  # distance of the last inserted pair; None after an extraction
-    for li, s, r in chain.from_iterable(zip(*c) for c in chunks):
-        # a pair is live until its point or its landmark is clustered; when
-        # an extraction kills the current pair the re-test moves on to the
-        # next live pair
-        while not (clustered[s] or clustered[lid[li]]):
-            if r != last and max_size * r > T and len(clusters) < k:
-                fired = min(fired, max_size * r)
-                bstar = balls[sizes.index(max_size)]
-                merged: set = set()
-                for ball in balls:
-                    if not ball.isdisjoint(bstar):
+    if start is None:
+        # a landmark is alive while its own point is unclustered, and the
+        # ball of a dead landmark is empty
+        start = _RunState(0, 0, set(), set(), [set() for _ in lid], [0] * len(lid),
+                          0, [], INF, None)
+    # last: distance of the last inserted pair; None after an extraction
+    (first, offset, clustered, dead, balls, sizes, max_size, clusters, fired,
+     last) = start
+    for ci, c in enumerate(chunks, first):
+        cols = [iter(col) for col in c]
+        if offset:
+            for col in cols:
+                col.__setstate__(offset)
+            offset = 0
+        for li, s, r in zip(*cols):
+            # a pair is live until its point or its landmark is clustered;
+            # when an extraction kills the current pair the re-test moves on
+            # to the next live pair
+            while not (s in clustered or li in dead):
+                if r != last and max_size * r > T:
+                    product = max_size * r
+                    if product < fired:
+                        if saves is not None:
+                            # zip has read this pair from every column
+                            saves.append(_RunState(
+                                ci, len(c[0]) - length_hint(cols[0]) - 1,
+                                set(clustered), set(dead), list(map(set.copy, balls)),
+                                sizes[:], max_size, clusters[:], fired, last,
+                            ))
+                        fired = product
+                    # the largest ball, lowest position on ties, and every
+                    # ball overlapping it
+                    bstar = balls[sizes.index(max_size)]
+                    merged = set()
+                    for ball in filterfalse(bstar.isdisjoint, balls):
                         merged |= ball
-                members = sorted(merged)
-                for q in members:
-                    clustered[q] = 1
-                clusters.append(members)
-                for j, ball in enumerate(balls):
-                    if clustered[lid[j]]:
-                        ball.clear()
-                    else:
+                    clusters.append(merged)
+                    if len(clusters) == k:
+                        return clusters, fired  # nothing more can be extracted
+                    clustered |= merged
+                    for j in compress(range(len(lid)), map(merged.__contains__, lid)):
+                        dead.add(j)
+                        balls[j].clear()
+                    for ball in filterfalse(merged.isdisjoint, balls):
                         ball -= merged
-                    sizes[j] = len(ball)
-                max_size = max(sizes)
-                last = None
-                continue
-            balls[li].add(s)
-            sizes[li] += 1
-            if sizes[li] > max_size:
-                max_size = sizes[li]
-            last = r
-            break
-        if len(clusters) == k:
-            break  # nothing more can be extracted
+                    sizes = list(map(len, balls))
+                    max_size = max(sizes)
+                    last = None
+                    continue
+                balls[li].add(s)
+                sizes[li] += 1
+                if sizes[li] > max_size:
+                    max_size = sizes[li]
+                last = r
+                break
 
-    if len(clusters) < k:
-        # the finite stream ran out first: the points left form one cluster
-        clusters.append([s for s in range(n) if not clustered[s]])
+    # the finite stream ran out first: the points left form one cluster
+    clusters.append([s for s in range(n) if s not in clustered])
     return clusters, fired
 
 
 def _as_clustering(table: LandmarkTable, k: int, clusters: list) -> Clustering:
     """The `Clustering` of one run's bare clusters from `_stream_min_sum`:
-    points in no cluster are unassigned, each cluster's landmarks are its
-    landmark points in ascending order, and fewer than k clusters are padded
-    with empty ones under a `padded_empty_clusters:N` warning."""
+    each cluster is sorted, points in no cluster are unassigned, each
+    cluster's landmarks are its landmark points in ascending order, and
+    fewer than k clusters are padded with empty ones under a
+    `padded_empty_clusters:N` warning."""
+    clusters = [sorted(members) for members in clusters]
     unclustered = np.ones(table.n, dtype=bool)
     for members in clusters:
         unclustered[members] = False

@@ -113,6 +113,10 @@ class PointCloudDistanceSource(DistanceSource):
         return euclidean_rows(self.points, slice(s, s + 1))[0]
 
 
+# entries in `euclidean_rows`' scratch buffer: 2 MB
+_SCRATCH_ENTRIES = 1 << 18
+
+
 def euclidean_rows(points: np.ndarray, rows: slice) -> np.ndarray:
     """Euclidean distances from each point in `points[rows]` to every point.
 
@@ -123,12 +127,18 @@ def euclidean_rows(points: np.ndarray, rows: slice) -> np.ndarray:
     `(diff * diff).sum(-1)` reductions reorder the additions and change
     the last bits from about 8 coordinates on.)
     """
-    shape = (points[rows].shape[0], points.shape[0])
-    acc = np.zeros(shape)
-    tmp = np.empty(shape)
-    for c in points.T:
-        np.subtract(c[rows, None], c[None, :], out=tmp)
-        acc += np.square(tmp, out=tmp)
+    chosen = points[rows]
+    acc = np.zeros((chosen.shape[0], points.shape[0]))
+    # the scratch buffer holds a block of rows, so the result is the one
+    # large allocation
+    step = max(1, _SCRATCH_ENTRIES // max(1, points.shape[0]))
+    tmp = np.empty((min(step, chosen.shape[0]), points.shape[0]))
+    for lo in range(0, chosen.shape[0], step):
+        block = acc[lo:lo + step]
+        scratch = tmp[:block.shape[0]]
+        for c, mine in zip(points.T, chosen[lo:lo + step].T):
+            np.subtract(mine[:, None], c[None, :], out=scratch)
+            block += np.square(scratch, out=scratch)
     return np.sqrt(acc, out=acc)
 
 
@@ -137,9 +147,12 @@ class MetricMatrix:
 
     Construction checks symmetry, zero diagonal and non-negativity.  The
     triangle inequality is *not* assumed; use `check_metric` to audit it.
+    The matrix keeps a read-only copy of `values`; with `copy=False` it
+    keeps `values` itself, for a caller that hands over a fresh array that
+    nothing else refers to.
     """
 
-    def __init__(self, values: np.ndarray):
+    def __init__(self, values: np.ndarray, *, copy: bool = True):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DataError(f"expected a square matrix, got shape {values.shape}")
@@ -157,7 +170,8 @@ class MetricMatrix:
         if np.diagonal(values).any():
             i = int(np.nonzero(np.diagonal(values))[0][0])
             raise DataError(f"non-zero diagonal at ({i},{i})")
-        values = values.copy()
+        if copy:
+            values = values.copy()
         values.flags.writeable = False
         self.values = values
 
@@ -202,7 +216,7 @@ class MetricMatrix:
             raise DataError(f"expected {n} values per row, got {cols}")
         if rows != n:
             raise DataError(f"expected {n} rows, got {rows}")
-        return cls(values)
+        return cls(values, copy=False)
 
 
 def _raise_csv_problem(path, n: int) -> None:
@@ -378,7 +392,7 @@ def ingest_similarity(
             "ingest: reconciled %d conflicting pair reports via %s",
             conflicts, policy,
         )
-    return MetricMatrix(values)
+    return MetricMatrix(values, copy=False)
 
 
 def read_pair_file(path):

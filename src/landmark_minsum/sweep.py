@@ -9,6 +9,11 @@ the next, stopping at the first run that clusters enough points.  It visits
 exactly the thresholds where the run changes, so it stops where a walk over
 every size x distance product would, without listing those products and
 without any further distance queries.
+
+The run at p is the run at T up to the first extraction at product p,
+which the strict test does not fire at p; every earlier test has the same
+outcome at both thresholds.  So the run at p does not replay the stream:
+it resumes from the state the run at T saved just before that extraction.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .landmark import (
     LandmarkTable,
     StabilityParams,
     _as_clustering,
+    _RunState,
     _stream_min_sum,
     assign_remainder,
     bad_point_budget,
@@ -66,12 +72,17 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
     """Jump between firing products until a run clusters n - b points.
 
     Starts at the smallest positive finite landmark-point distance; each
-    run's smallest fired product is the next threshold tried.  Stops at the
+    run's smallest fired product p is the next threshold tried.  Stops at the
     first run clustering at least n - b points before remainder assignment,
     then completes the winner with assign_remainder.  Reuses the landmark
-    table throughout, so no new queries are issued.  The stream's chunks
-    are sorted and turned into Python lists once, when the first run
-    reaches them, and later runs read those lists.
+    table throughout, so no new queries are issued.
+
+    The run at p equals the run before it up to that run's first extraction
+    with product p, which does not fire at p.  So each run after the first
+    resumes from the state saved just before that extraction
+    (`_stream_min_sum`'s `saves`) and inherits the saved states before it.
+    The stream's chunks are sorted and turned into Python lists once, when
+    the first run reaches them, and a saved state points into those lists.
     """
     n = table.n
     rows = table.rows
@@ -86,18 +97,22 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
     pending = table.chunks()
     converted: list[list[list]] = []
 
-    def chunks():
+    def chunks(first: int):
         # runs read one at a time, so only the current one appends
-        yield from converted
+        yield from converted[first:]
         for c in pending:
             converted.append([col.tolist() for col in c])
             yield converted[-1]
 
+    saves: list[_RunState] = []
+    start = None
     # the smallest fired product exceeds t, so t rises strictly; a run in
     # which nothing fires (fired is +inf) clusters every point, and the walk
-    # reaches such a run before t becomes +inf, so the loop always returns
+    # reaches such a run before t becomes +inf, so the loop always returns;
+    # a run that fired saved the state before its first extraction at fired
     while True:
-        clusters, fired = _stream_min_sum(table, k, t, chunks())
+        clusters, fired = _stream_min_sum(
+            table, k, t, chunks(start.chunk if start else 0), start, saves)
         cov = sum(map(len, clusters))
         coverage.append((t, cov))
         if cov >= needed:
@@ -111,3 +126,4 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
                 warnings=list(run.warnings),
             )
         t = fired
+        start = saves.pop()

@@ -5,6 +5,9 @@
 lists every achievable ball-size x distance product and `candidate_sweep`
 reruns the clustering once per product in ascending order, the threshold
 walk `landmark_minsum.sweep` shortcuts by jumping between fired products.
+`replay_sweep` is that jump walk with every run replayed from the start of
+the stream, where `sweep` resumes each run from a state the run before it
+saved.
 `conceptual_cluster_min_sum` restates the pair stream sweep of
 `cluster_min_sum` over continuous radii, and `loop_stream_min_sum` is the
 cursor-and-peek loop the single-pass kernel replaced.
@@ -47,7 +50,11 @@ from landmark_minsum import (
     min_sum,
 )
 from landmark_minsum.evaluation import DEFAULT_BRUTE_CAP, _require_partition
-from landmark_minsum.landmark import _validate_run
+from landmark_minsum.landmark import (
+    _as_clustering,
+    _stream_min_sum,
+    _validate_run,
+)
 from landmark_minsum.metric import _TRIANGLE_REL_TOL
 
 OBJECTIVES = {"min_sum": min_sum, "balanced_k_median": balanced_k_median}
@@ -103,6 +110,46 @@ def candidate_sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepRes
     # the largest candidate, n * max d, fires nothing, so its run clusters
     # every point
     raise AssertionError(f"no candidate clustered >= {needed} of {n} points")
+
+
+def replay_sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
+    """The jump walk of `sweep`, each run started from the first pair: from
+    the smallest positive finite distance, run at each run's smallest fired
+    product until a run clusters n - b points.  The chunks are converted to
+    lists once and shared by the runs, as in `sweep`."""
+    n = table.n
+    rows = table.rows
+    t = float(np.min(rows, where=(rows > 0) & (rows < INF), initial=INF))
+    if t == INF:
+        raise DataError("no positive finite landmark-point distances")
+    if not 0 <= stop_bound_b < n:
+        raise ParameterError(f"need 0 <= b < n, got b={stop_bound_b}, n={n}")
+    needed = n - stop_bound_b
+    coverage: list[tuple[float, int]] = []
+    pending = table.chunks()
+    converted: list[list[list]] = []
+
+    def chunks():
+        yield from converted
+        for c in pending:
+            converted.append([col.tolist() for col in c])
+            yield converted[-1]
+
+    while True:
+        clusters, fired = _stream_min_sum(table, k, t, chunks())
+        cov = sum(map(len, clusters))
+        coverage.append((t, cov))
+        if cov >= needed:
+            run = _as_clustering(table, k, clusters)
+            return SweepResult(
+                chosen_threshold=t,
+                clustering=assign_remainder(run, table),
+                runs_executed=len(coverage),
+                points_clustered_at_stop=cov,
+                coverage_per_candidate=coverage,
+                warnings=list(run.warnings),
+            )
+        t = fired
 
 
 def conceptual_cluster_min_sum(

@@ -582,6 +582,20 @@ class TestIngestCommand:
         assert math.isinf(m.values[0, 2])
         assert "a" in ids.read_text()
 
+    @pytest.mark.parametrize("unwritable", ["ids", "matrix"])
+    def test_unwritable_output_leaves_no_file(self, capsys, tmp_path, unwritable):
+        tsv = tmp_path / "pairs.tsv"
+        tsv.write_text("id_a\tid_b\tbit_score\na\tb\t50\n")
+        out = tmp_path / ("nodir/m.csv" if unwritable == "matrix" else "m.csv")
+        ids = tmp_path / ("nodir/i.csv" if unwritable == "ids" else "i.csv")
+        code, stdout, err = run_cli(
+            capsys, "ingest", "--input", str(tsv), "--output", str(out),
+            "--ids-output", str(ids),
+        )
+        assert code == 3 and stdout == ""
+        assert json.loads(err)["error"] == "DataError"
+        assert list(tmp_path.iterdir()) == [tsv]
+
     def test_missing_output_is_refused_before_reading(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "ingest", "--input", str(tmp_path / "absent.tsv")

@@ -482,11 +482,12 @@ class TestMatchesLoopOracle:
     @pytest.mark.parametrize("trial", range(30))
     def test_criterion_07_sweeps(self, trial, monkeypatch):
         # every run of the sweep, not only the winner, matches the oracle,
-        # at the default chunk size and at a tiny one
+        # at the default chunk size and at a tiny one; `resume` is the
+        # saved state a run starts from and the stack it saves onto
         table, k, b = criterion_07_case(trial)
 
-        def checked(table, k, t, chunks):
-            clusters, fired = _stream_min_sum(table, k, t, chunks)
+        def checked(table, k, t, chunks, *resume):
+            clusters, fired = _stream_min_sum(table, k, t, chunks, *resume)
             ref, ref_fired = loop_stream_min_sum(table, k, t)
             assert _as_clustering(table, k, clusters).to_dict() == ref.to_dict()
             assert fired == ref_fired

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import tracemalloc
@@ -32,6 +33,9 @@ from landmark_minsum.metric import _TRIANGLE_REL_TOL, euclidean_rows
 
 from conftest import euclidean_matrix, random_metric
 from oracles import emit_pairs, sampled_check_metric
+
+generate_module = importlib.import_module("landmark_minsum.generate")
+metric_module = importlib.import_module("landmark_minsum.metric")
 
 
 class TestQueryLedger:
@@ -152,6 +156,14 @@ class TestEuclideanRows:
                 euclidean_rows(points, slice(None)), squareform(pdist(points))
             )
 
+    def test_blocks_of_rows_give_the_same_bits(self, monkeypatch):
+        points = np.random.default_rng(21).standard_normal((50, 9)) * 100.0
+        whole = euclidean_rows(points, slice(None))  # one block
+        # blocks of 7 rows, the last one short
+        monkeypatch.setattr(metric_module, "_SCRATCH_ENTRIES", 7 * 50 + 3)
+        assert np.array_equal(euclidean_rows(points, slice(None)), whole)
+        assert np.array_equal(euclidean_rows(points, slice(5, 30)), whole[5:30])
+
     @pytest.mark.parametrize("sizes", [(20, 15), (10,) * 9, (8,) * 12])
     def test_point_cloud_rows_equal_generated_matrix(self, sizes):
         # generate embeds in max(2, k) dimensions; a reordered sum of the
@@ -211,6 +223,46 @@ class TestMetricMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= vals.nbytes + vals.size // 2, peak
+
+    def test_array_from_outside_is_copied(self):
+        vals = random_metric(5, 2, seed=7).values.copy()
+        m = MetricMatrix(vals)
+        assert not np.shares_memory(m.values, vals)
+        assert vals.flags.writeable and not m.values.flags.writeable
+        vals[0, 1] = vals[1, 0] = 9.0
+        assert m.values[0, 1] != 9.0
+
+    def test_generated_array_is_handed_over(self, monkeypatch):
+        made = []
+
+        def recorded(points, rows):
+            made.append(euclidean_rows(points, rows))
+            return made[-1]
+
+        monkeypatch.setattr(generate_module, "euclidean_rows", recorded)
+        inst = generate(InstanceSpec(sizes=(6, 5), theta=5.0, seed=2))
+        assert inst.matrix.values is made[-1]
+        assert not inst.matrix.values.flags.writeable
+
+    @pytest.mark.parametrize("build", ["from_csv", "ingest_similarity"])
+    def test_read_array_is_handed_over(self, build, tmp_path):
+        # the array the reader builds is the matrix's: no second n x n
+        # array is alive at the peak
+        m = random_metric(600, 2, seed=8)
+        path = tmp_path / "m.csv"
+        m.to_csv(path)
+        pairs = [(i, i + 1, 50.0) for i in range(599)]
+        call = {"from_csv": lambda: MetricMatrix.from_csv(path),
+                "ingest_similarity": lambda: ingest_similarity(pairs)}[build]
+        call()  # first-use allocations
+        tracemalloc.start()
+        try:
+            built = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not built.values.flags.writeable
+        assert peak < 1.5 * m.values.nbytes, peak
 
     def test_immutable(self):
         m = random_metric(4, 2, seed=5)

@@ -1,5 +1,7 @@
 import importlib
+import inspect
 import json
+import math
 from importlib import resources
 from unittest import mock
 
@@ -29,10 +31,12 @@ from landmark_minsum import (
 from landmark_minsum.landmark import _as_clustering, _stream_min_sum
 
 from conftest import criterion_07_case, euclidean_matrix, random_metric
-from oracles import candidate_sweep, enumerate_thresholds
+from oracles import candidate_sweep, enumerate_thresholds, replay_sweep
 
 
 landmark_module = importlib.import_module("landmark_minsum.landmark")
+# the package's `sweep` attribute is the function, not the module
+sweep_module = importlib.import_module("landmark_minsum.sweep")
 
 
 def table_for(m, landmarks):
@@ -46,20 +50,23 @@ def small_verified_instance(seed=0, bad_fraction=0.0):
 
 
 def assert_matches_oracle(table, k, b):
-    """The jump walk stops where the candidate-by-candidate walk stops, with
-    the same clustering, and runs only thresholds the oracle runs.  A tiny
-    first chunk, which puts chunk edges inside the runs, gives the same
-    result byte for byte."""
+    """The resuming walk gives the replaying walk's result byte for byte,
+    also with a tiny first chunk, which puts chunk edges inside the runs
+    and so resume points on them.  It stops where the candidate-by-candidate
+    walk stops, with the same clustering, and runs only thresholds that
+    walk runs."""
     try:
         ref = candidate_sweep(table, k, b)
     except DataError:
         with pytest.raises(DataError):
             sweep(table, k, b)
         return
+    replayed = json.dumps(replay_sweep(table, k, b).to_dict())
     res = sweep(table, k, b)
+    assert json.dumps(res.to_dict()) == replayed
     with mock.patch.object(landmark_module, "_FIRST_CHUNK", 3):
         tiny = sweep(table, k, b)
-    assert json.dumps(tiny.to_dict()) == json.dumps(res.to_dict())
+    assert json.dumps(tiny.to_dict()) == replayed
     assert res.chosen_threshold == ref.chosen_threshold
     assert res.clustering.clusters == ref.clustering.clusters
     assert res.clustering.unassigned == ref.clustering.unassigned
@@ -264,3 +271,84 @@ class TestMatchesCandidateWalk:
         k = data.draw(st.integers(1, n), label="k")
         b = data.draw(st.integers(0, n - 1), label="b")
         assert_matches_oracle(table_for(MetricMatrix(vals), landmarks), k, b)
+
+
+def tied_minimum_case():
+    """A run with two extractions at its smallest product.  On these
+    integer-grid points the run at T = 1 extracts a ball of 2 at distance
+    sqrt(2), then a ball of 1 at distance sqrt(8): both at product
+    2 * sqrt(2).  The run at that threshold must resume before the first
+    of the two."""
+    coords = [(0, 0), (2, 2), (3, 1), (2, 1)]
+    return table_for(euclidean_matrix(coords), [2, 0]), 2, 0
+
+
+def test_tied_minimum_resumes_before_the_first_extraction():
+    table, k, b = tied_minimum_case()
+    assert_matches_oracle(table, k, b)
+    res = sweep(table, k, b)
+    assert res.chosen_threshold == 2 * math.sqrt(2)
+    assert res.clustering.clusters == [[1, 2, 3], [0]]
+
+
+# mutants of the resume point, as (old, new) edits of the kernel's source
+_FRESH_SAVE = "                    if product < fired:\n                        if saves is not None:"
+RESUME_MUTANTS = {
+    "one-test-late": [(
+        "len(c[0]) - length_hint(cols[0]) - 1,",
+        "len(c[0]) - length_hint(cols[0]),",
+    )],
+    # the state saved once the record-low extraction is done, k-th included
+    "after-the-extraction": [
+        (_FRESH_SAVE, "                    before = fired\n" + _FRESH_SAVE.replace(
+            "if saves is not None:", "if False:")),
+        ("                    if len(clusters) == k:\n"
+         "                        return clusters, fired  # nothing more can be extracted\n",
+         ""),
+        ("                    last = None\n                    continue\n",
+         "                    last = None\n"
+         "                    if product < before and saves is not None:\n"
+         "                        saves.append(_RunState(\n"
+         "                            ci, len(c[0]) - length_hint(cols[0]) - 1,\n"
+         "                            set(clustered), set(dead), list(map(set.copy, balls)),\n"
+         "                            sizes[:], max_size, clusters[:], before, last))\n"
+         "                    if len(clusters) == k:\n"
+         "                        return clusters, fired\n"
+         "                    continue\n"),
+    ],
+    # every extraction at the smallest product so far saves, so the last
+    # one is resumed from
+    "last-at-the-smallest-product": [("if product < fired:", "if product <= fired:")],
+}
+
+
+def mutant_kernel(edits):
+    """`_stream_min_sum` rebuilt from its source with `edits` applied."""
+    source = inspect.getsource(landmark_module._stream_min_sum)
+    for old, new in edits:
+        assert source.count(old) == 1, old  # the mutant still applies
+        source = source.replace(old, new)
+    namespace = dict(vars(landmark_module))
+    exec(compile(source, "<mutant>", "exec"), namespace)
+    return namespace["_stream_min_sum"]
+
+
+class TestResumeMutants:
+    """Each mutant of the resume point makes the gate fail on a committed
+    case; the unedited rebuild passes it."""
+
+    def test_rebuilt_kernel_passes(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_stream_min_sum", mutant_kernel([]))
+        assert_matches_oracle(*criterion_07_case(0))
+        assert_matches_oracle(*tied_minimum_case())
+
+    @pytest.mark.parametrize("name, case", [
+        ("one-test-late", lambda: criterion_07_case(0)),
+        ("after-the-extraction", lambda: criterion_07_case(0)),
+        ("last-at-the-smallest-product", tied_minimum_case),
+    ], ids=["one-test-late", "after-the-extraction", "last-at-the-smallest-product"])
+    def test_mutant_fails_the_gate(self, name, case, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_stream_min_sum",
+                            mutant_kernel(RESUME_MUTANTS[name]))
+        with pytest.raises(AssertionError):
+            assert_matches_oracle(*case())
