@@ -104,7 +104,7 @@ def _load_matrix(args) -> MetricMatrix:
     if first.isdigit():  # a matrix CSV starts with its point count
         return MetricMatrix.from_csv(path)
     pairs, _labels = read_pair_file(path)
-    return ingest_similarity(pairs, policy=getattr(args, "policy", "min_distance"))
+    return ingest_similarity(pairs, policy=args.policy)
 
 
 def _stability_from(args) -> StabilityParams | None:
@@ -116,7 +116,7 @@ def _stability_from(args) -> StabilityParams | None:
         raise ParameterError("--alpha and --epsilon must be given together")
     return StabilityParams(
         alpha=args.alpha, epsilon=args.epsilon,
-        delta=args.delta if args.delta is not None else 0.05,
+        delta=args.delta if args.delta is not None else StabilityParams.delta,
     )
 
 
@@ -236,14 +236,14 @@ def cmd_baseline(args) -> dict:
 
 
 def cmd_evaluate(args) -> dict:
+    if bool(args.against) == bool(args.labels):
+        raise ParameterError("evaluate needs one of --against and --labels")
     clustering = Clustering.read_json(args.clustering)
     matrix = _load_matrix(args) if args.input else None
     if args.against:
         other = Clustering.read_json(args.against)
-    elif args.labels:
-        other = read_target_labels(args.labels, clustering.n)
     else:
-        raise ParameterError("evaluate needs --against or --labels")
+        other = read_target_labels(args.labels, clustering.n)
     out: dict = {
         "version": __version__,
         "n": clustering.n,
@@ -258,6 +258,8 @@ def cmd_evaluate(args) -> dict:
 def cmd_verify(args) -> dict:
     path = Path(args.input) if args.input else None
     if path and path.is_dir():
+        if args.labels:
+            raise ParameterError("--labels with a bundle --input: it has its labels")
         inst = load_bundle(path)
         matrix, target = inst.matrix, inst.target
         stability = inst.stability
@@ -303,6 +305,10 @@ def cmd_verify(args) -> dict:
 def cmd_ingest(args) -> dict:
     if args.matrix_output is None:
         raise ParameterError("ingest needs --output for the matrix CSV")
+    if args.ids_output and (
+        os.path.realpath(args.ids_output) == os.path.realpath(args.matrix_output)
+    ):
+        raise ParameterError("--output and --ids-output name the same file")
     pairs, labels = read_pair_file(args.input)
     matrix = ingest_similarity(pairs, policy=args.policy)
     payload: dict = {
@@ -376,8 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated core sizes")
     p.add_argument("--theta", type=float, required=True,
                    help="size*diameter product for the cores")
-    p.add_argument("--separation-factor", type=float, default=1.5)
-    p.add_argument("--bad-fraction", type=float, default=0.0)
+    p.add_argument("--separation-factor", type=float,
+                   default=InstanceSpec.separation_factor)
+    p.add_argument("--bad-fraction", type=float,
+                   default=InstanceSpec.bad_fraction)
     p.add_argument("--embed-dim", type=int, default=None)
     _add_common(p, dest="bundle", help="bundle directory to write")
     p.set_defaults(func=cmd_generate)

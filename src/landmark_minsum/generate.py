@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     open_output,
 )
 from .evaluation import _members, balanced_k_median
-from .landmark import Clustering, StabilityParams, _non_negative_int
+from .landmark import Clustering, StabilityParams, _non_negative_int, _record_from_dict
 from .metric import MetricMatrix, _label_sort_key, euclidean_rows
 
 # Declared effective size*diameter scale is this multiple of the requested
@@ -87,35 +87,11 @@ class InstanceSpec:
         return tuple(self.theta for _ in self.sizes)
 
     def to_dict(self):
-        return {
-            "sizes": list(self.sizes),
-            "theta": self.theta,
-            "separation_factor": self.separation_factor,
-            "bad_fraction": self.bad_fraction,
-            "embed_dim": self.embed_dim,
-            "seed": self.seed,
-            "theta_per_cluster": (
-                list(self.theta_per_cluster)
-                if self.theta_per_cluster is not None
-                else None
-            ),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            sizes=tuple(d["sizes"]),
-            theta=d["theta"],
-            separation_factor=d.get("separation_factor", 1.5),
-            bad_fraction=d.get("bad_fraction", 0.0),
-            embed_dim=d.get("embed_dim"),
-            seed=d.get("seed", 0),
-            theta_per_cluster=(
-                tuple(d["theta_per_cluster"])
-                if d.get("theta_per_cluster")
-                else None
-            ),
-        )
+        return _record_from_dict(cls, d)
 
 
 @dataclass
@@ -254,7 +230,7 @@ def generate(spec: InstanceSpec) -> Instance:
     if w > 0:
         epsilon = w / (60.0 * effective_theta)  # alpha = 1 canonical
         if epsilon < 1.0:
-            stability = StabilityParams(alpha=1.0, epsilon=epsilon, delta=0.05)
+            stability = StabilityParams(alpha=1.0, epsilon=epsilon)
         else:
             raise GenerationError(
                 "realized weights too large to declare stability; "
@@ -365,26 +341,28 @@ def write_labels_csv(path, labels_by_point) -> None:
 def read_target_labels(path, n: int) -> Clustering:
     """The clustering a `point_id,cluster_label` file gives points 0..n-1.
 
-    A first line whose id is not an integer is a header.  Every point must
-    have exactly one label and no id may lie outside [0, n).  Labels are
-    compared as written, so `7` and `007` are two clusters.  Clusters follow
-    the order `read_pair_file` gives ids: integer labels numerically, then
-    the others lexicographically.
+    Blank lines are skipped, and the first other line is a header if its id
+    is not an integer.  Every point must have exactly one label and no id
+    may lie outside [0, n).  Labels are compared as written, so `7` and
+    `007` are two clusters.  Clusters follow the order `read_pair_file`
+    gives ids: integer labels numerically, then the others lexicographically.
     """
     labels: dict[int, str] = {}
+    first = True
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            may_be_header, first = first, False
             parts = line.split(",")
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected 2 columns")
             try:
                 pid = int(parts[0])
             except ValueError:
-                if lineno == 1:
-                    continue  # header
+                if may_be_header:
+                    continue
                 raise DataError(f"{path}:{lineno}: bad point id {parts[0]!r}")
             if pid in labels:
                 raise DataError(f"{path}:{lineno}: duplicate point id {pid}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import compress, filterfalse
 from operator import length_hint
 from typing import NamedTuple
@@ -49,11 +49,18 @@ class StabilityParams:
             raise ParameterError(f"delta must be in (0,1), got {self.delta}")
 
     def to_dict(self):
-        return {"alpha": self.alpha, "epsilon": self.epsilon, "delta": self.delta}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(alpha=d["alpha"], epsilon=d["epsilon"], delta=d["delta"])
+        return _record_from_dict(cls, d)
+
+
+def _record_from_dict(cls, d):
+    """The dataclass `cls` from its `asdict` dict: only a field with a default
+    may be absent (else KeyError), and a JSON list becomes a tuple."""
+    names = [f.name for f in fields(cls) if f.name in d or f.default is MISSING]
+    return cls(**{x: tuple(d[x]) if type(d[x]) is list else d[x] for x in names})
 
 
 def landmark_count_for(params: StabilityParams, k: int, n: int | None = None) -> int:
@@ -286,10 +293,10 @@ def _validate_run(n: int, k: int, threshold: float) -> None:
 def cluster_min_sum(table: LandmarkTable, k: int, threshold: float) -> Clustering:
     """Run the sorted-pair ball-growing sweep and emit up to k clusters.
 
-    Pairs are consumed in ascending distance order.  A pair is dead once its
-    point or its landmark is clustered, and dead pairs are skipped.  Before a
-    live pair is inserted into its landmark's ball, the test
-    `max_size * r > T` runs at its distance r if that distance differs from
+    Pairs are consumed in ascending distance order.  A pair is live while
+    neither its point nor its landmark is clustered, and other pairs are
+    skipped.  Before a live pair is inserted into its landmark's ball, the
+    test `max_size * r > T` runs at its distance r if that differs from
     the last inserted pair's, or if an extraction happened since that
     insertion; `max_size` is the largest active ball.  While the test holds
     and fewer than k clusters exist, the largest ball (lowest landmark
@@ -310,17 +317,16 @@ def cluster_min_sum(table: LandmarkTable, k: int, threshold: float) -> Clusterin
 class _RunState(NamedTuple):
     """A run's state just before the test of the pair at `offset` in chunk
     `chunk` of the stream: what `_stream_min_sum` needs to go on from there.
-    `dead` holds the positions of the clustered landmarks, `clusters` the
-    clusters extracted so far and `fired` the smallest product fired so far.
+    `clustered` is the run's one liveness set, `sizes` the ball sizes (the
+    largest is recomputed on resume), `clusters` the clusters extracted so
+    far and `fired` the smallest product fired so far.
     """
 
     chunk: int
     offset: int
     clustered: set[int]
-    dead: set[int]
     balls: list[set[int]]
     sizes: list[int]
-    max_size: int
     clusters: list[set[int]]
     fired: float
     last: float | None
@@ -340,6 +346,8 @@ def _stream_min_sum(
     The clusters are the extracted ones in extraction order, as sets,
     then, if the finite stream ran out before k extractions, the remaining
     points as one last cluster; so their total size is the run's coverage.
+    Its one liveness set is the clustered points: a pair is live while
+    neither its point nor its landmark's point is clustered.
     `chunks` yields the stream's chunks in order, each as its (landmark
     position, point, distance) columns: `table.chunks()`, whose memoryviews
     are read in place, or those columns as Python lists, converted once by
@@ -364,13 +372,11 @@ def _stream_min_sum(
 
     lid = table.landmark_ids
     if start is None:
-        # a landmark is alive while its own point is unclustered, and the
-        # ball of a dead landmark is empty
-        start = _RunState(0, 0, set(), set(), [set() for _ in lid], [0] * len(lid),
-                          0, [], INF, None)
+        start = _RunState(0, 0, set(), [set() for _ in lid], [0] * len(lid), [],
+                          INF, None)
     # last: distance of the last inserted pair; None after an extraction
-    (first, offset, clustered, dead, balls, sizes, max_size, clusters, fired,
-     last) = start
+    first, offset, clustered, balls, sizes, clusters, fired, last = start
+    max_size = max(sizes)
     for ci, c in enumerate(chunks, first):
         cols = [iter(col) for col in c]
         if offset:
@@ -378,10 +384,10 @@ def _stream_min_sum(
                 col.__setstate__(offset)
             offset = 0
         for li, s, r in zip(*cols):
-            # a pair is live until its point or its landmark is clustered;
-            # when an extraction kills the current pair the re-test moves on
-            # to the next live pair
-            while not (s in clustered or li in dead):
+            # a pair is live until its point or its landmark's point is
+            # clustered; when an extraction kills the current pair the
+            # re-test moves on to the next live pair
+            while not (s in clustered or lid[li] in clustered):
                 if r != last and max_size * r > T:
                     product = max_size * r
                     if product < fired:
@@ -389,8 +395,8 @@ def _stream_min_sum(
                             # zip has read this pair from every column
                             saves.append(_RunState(
                                 ci, len(c[0]) - length_hint(cols[0]) - 1,
-                                set(clustered), set(dead), list(map(set.copy, balls)),
-                                sizes[:], max_size, clusters[:], fired, last,
+                                set(clustered), list(map(set.copy, balls)),
+                                sizes[:], clusters[:], fired, last,
                             ))
                         fired = product
                     # the largest ball, lowest position on ties, and every
@@ -404,7 +410,6 @@ def _stream_min_sum(
                         return clusters, fired  # nothing more can be extracted
                     clustered |= merged
                     for j in compress(range(len(lid)), map(merged.__contains__, lid)):
-                        dead.add(j)
                         balls[j].clear()
                     for ball in filterfalse(merged.isdisjoint, balls):
                         ball -= merged

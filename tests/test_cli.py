@@ -14,6 +14,7 @@ from landmark_minsum import (
     InstanceSpec,
     MetricMatrix,
     generate,
+    generate_adversarial,
     save_bundle,
     write_labels_csv,
 )
@@ -347,6 +348,42 @@ class TestEvaluateCommand:
         assert payload["error"] == "DataError"
         assert str(bad) in payload["message"]
 
+    @pytest.mark.parametrize("clustering, message", [
+        ({"n": 2, "clusters": [[0, 5]]}, "point 5 outside [0,2)"),
+        ({"n": 2, "clusters": [[0, 1], [1]]}, "point 1 appears in two clusters"),
+        ({"n": 2, "clusters": [[0, 1]], "unassigned": [1]},
+         "point 1 both clustered and unassigned"),
+        ({"n": 3, "clusters": [[0, 2]]}, "point 1 missing from the clustering"),
+    ], ids=["outside", "two-clusters", "clustered-and-unassigned", "missing"])
+    def test_inconsistent_clustering_is_data_error(
+        self, capsys, tmp_path, clustering, message
+    ):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"n": clustering["n"], "clusters": [[0, 1]]}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(clustering))
+        code, _, err = run_cli(
+            capsys, "evaluate", "--clustering", str(bad), "--against", str(good)
+        )
+        assert code == 3
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert payload["message"] == message
+
+    def test_against_with_labels_is_refused_before_reading(
+        self, capsys, tmp_path
+    ):
+        code, stdout, err = run_cli(
+            capsys, "evaluate", "--clustering", str(tmp_path / "absent.json"),
+            "--against", str(tmp_path / "c.json"),
+            "--labels", str(tmp_path / "absent.csv"),
+        )
+        assert code == 2 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert "--against" in payload["message"]
+        assert "--labels" in payload["message"]
+
     def test_requires_comparison_target(self, capsys, bundle_dir, tmp_path):
         out, inst = bundle_dir
         cpath = tmp_path / "c.json"
@@ -413,6 +450,37 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(stdout)["stability_holds"] is True
+
+    def test_stability_counterexample_on_uniform_metric(self, capsys, tmp_path):
+        # every partition of the uniform metric is near optimal
+        out = tmp_path / "uniform"
+        save_bundle(generate_adversarial("uniform", n=9, k=2), out)
+        code, stdout, _ = run_cli(
+            capsys, "verify", "--input", str(out), "--check-stability",
+            "--alpha", "1", "--epsilon", "0.2",
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["stability_holds"] is False
+        counterexample = payload["stability_counterexample"]
+        assert counterexample["distance"] >= 0.2
+        clusters = counterexample["clusters"]
+        assert sorted(p for c in clusters for p in c) == list(range(9))
+
+    def test_bundle_with_labels_is_refused_before_reading(
+        self, capsys, bundle_dir, monkeypatch
+    ):
+        monkeypatch.setattr("landmark_minsum.cli.load_bundle", pytest.fail)
+        out, _ = bundle_dir
+        code, stdout, err = run_cli(
+            capsys, "verify", "--input", str(out),
+            "--labels", str(out / "absent.csv"),
+        )
+        assert code == 2 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert "--input" in payload["message"]
+        assert "--labels" in payload["message"]
 
     def test_brute_cap_below_n_is_parameter_error(self, capsys, tmp_path):
         out = tmp_path / "tiny"
@@ -595,6 +663,19 @@ class TestIngestCommand:
         assert code == 3 and stdout == ""
         assert json.loads(err)["error"] == "DataError"
         assert list(tmp_path.iterdir()) == [tsv]
+
+    def test_one_file_for_both_outputs_is_refused(self, capsys, tmp_path):
+        out = tmp_path / "m.csv"
+        code, stdout, err = run_cli(
+            capsys, "ingest", "--input", str(tmp_path / "absent.tsv"),
+            "--output", str(out), "--ids-output", str(tmp_path / "." / "m.csv"),
+        )
+        assert code == 2 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert "--output" in payload["message"]
+        assert "--ids-output" in payload["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_output_is_refused_before_reading(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -17,6 +17,7 @@ from landmark_minsum import (
     QueryLedger,
     StabilityParams,
     balanced_k_median,
+    check_metric,
     classify_points,
     clustering_distance,
     embed_kmeans_baseline,
@@ -542,6 +543,29 @@ class TestObjectiveSandwich:
         phi = min_sum(c, m).value
         psi = balanced_k_median(c, m).value
         assert psi / 2.0 <= phi <= psi
+
+
+def test_only_min_sum_is_superadditive_on_a_metric():
+    """w(A | B) >= w(A) + w(B) for disjoint A, B, the lower bound a branch
+    and bound over partitions would prune with, holds for min_sum on every
+    non-negative matrix.  It fails for balanced_k_median even on a
+    Euclidean metric: the origin and the six unit vectors of R^6."""
+    m = euclidean_matrix(np.vstack([np.zeros(6), np.eye(6)]))
+    assert check_metric(m).ok
+    a, b = [0], list(range(1, 7))
+
+    def w(objective, members):
+        return objective([members], m.values).value
+
+    bkm = evaluation._balanced_k_median_of
+    assert w(bkm, a) + w(bkm, b) == pytest.approx(30 * math.sqrt(2))  # 42.43
+    assert w(bkm, a + b) == pytest.approx(42.0)
+    assert w(bkm, a + b) < w(bkm, a) + w(bkm, b)
+
+    ms = evaluation._min_sum_of
+    assert w(ms, a) + w(ms, b) == pytest.approx(15 * math.sqrt(2))  # 21.21
+    assert w(ms, a + b) == pytest.approx(6 + 15 * math.sqrt(2))  # 27.21
+    assert w(ms, a + b) >= w(ms, a) + w(ms, b)
 
 
 class TestEmbedKMeansBaseline:

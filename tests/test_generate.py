@@ -85,6 +85,39 @@ class TestGenerate:
         assert again.stability == inst.stability
         assert again.spec == inst.spec
 
+    @pytest.mark.parametrize("spec", [
+        InstanceSpec(sizes=(3, 2), theta=1.0),
+        InstanceSpec(sizes=(4, 4), theta=2.0, separation_factor=2.0,
+                     bad_fraction=0.25, embed_dim=3, seed=9,
+                     theta_per_cluster=(1.0, 2.5)),
+    ], ids=["defaults", "every-field"])
+    def test_spec_record_round_trip(self, spec):
+        assert InstanceSpec.from_dict(spec.to_dict()) == spec
+        assert InstanceSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+    def test_spec_record_layout(self):
+        # instance.json writes the fields in declaration order
+        spec = InstanceSpec(sizes=(3, 2), theta=1.0)
+        assert json.dumps(spec.to_dict()) == (
+            '{"sizes": [3, 2], "theta": 1.0, "separation_factor": 1.5, '
+            '"bad_fraction": 0.0, "embed_dim": null, "seed": 0, '
+            '"theta_per_cluster": null}'
+        )
+        minimal = InstanceSpec.from_dict({"sizes": [3, 2], "theta": 1.0})
+        assert minimal == spec
+
+    def test_stability_record_round_trip(self):
+        params = StabilityParams(alpha=2.0, epsilon=0.1, delta=0.2)
+        assert json.dumps(params.to_dict()) == (
+            '{"alpha": 2.0, "epsilon": 0.1, "delta": 0.2}'
+        )
+        assert StabilityParams.from_dict(params.to_dict()) == params
+        assert StabilityParams.from_dict(
+            json.loads(json.dumps(params.to_dict()))
+        ) == params
+        with pytest.raises(KeyError):
+            StabilityParams.from_dict({"alpha": 2.0})
+
     def test_one_dimensional_line_placement_works(self):
         inst = generate(InstanceSpec(sizes=(4,) * 9, theta=2.0,
                                      embed_dim=1, seed=5))

@@ -546,11 +546,22 @@ class TestPairAndLabelFiles:
         assert [names[c[0]] for c in clusters] == ids
         assert all(len(c) == 1 for c in clusters)
 
+    @pytest.mark.parametrize("text", [
+        "\npoint_id,cluster_label\n0,a\n1,b\n",
+        "\n\n  \npoint_id,cluster_label\n\n0,a\n\n1,b\n\n",
+        "0,a\n\n1,b\n",
+    ], ids=["blank-then-header", "blanks-throughout", "no-header"])
+    def test_label_header_is_the_first_non_blank_line(self, tmp_path, text):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        assert read_target_labels(path, 2).clusters == [[0], [1]]
+
     @pytest.mark.parametrize("text, message", [
         ("", "empty label file"),
         ("point_id,cluster_label\n", "empty label file"),
         ("0,a\n1,a,b\n", ":2: expected 2 columns"),
         ("0,a\nx,b\n", ":2: bad point id 'x'"),
+        ("\n0,a\n\npoint_id,b\n", ":4: bad point id 'point_id'"),
         ("0,a\n1,b\n0,c\n", ":3: duplicate point id 0"),
     ])
     def test_label_file_faults_are_data_errors(self, tmp_path, text, message):

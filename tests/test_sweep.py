@@ -310,8 +310,8 @@ RESUME_MUTANTS = {
          "                    if product < before and saves is not None:\n"
          "                        saves.append(_RunState(\n"
          "                            ci, len(c[0]) - length_hint(cols[0]) - 1,\n"
-         "                            set(clustered), set(dead), list(map(set.copy, balls)),\n"
-         "                            sizes[:], max_size, clusters[:], before, last))\n"
+         "                            set(clustered), list(map(set.copy, balls)),\n"
+         "                            sizes[:], clusters[:], before, last))\n"
          "                    if len(clusters) == k:\n"
          "                        return clusters, fired\n"
          "                    continue\n"),
