@@ -59,6 +59,7 @@ from .metric import (
     check_metric,
     ingest_similarity,
     read_pair_file,
+    twin_path,
 )
 from .sweep import stop_bound_from, sweep
 
@@ -305,10 +306,13 @@ def cmd_verify(args) -> dict:
 def cmd_ingest(args) -> dict:
     if args.matrix_output is None:
         raise ParameterError("ingest needs --output for the matrix CSV")
-    if args.ids_output and (
-        os.path.realpath(args.ids_output) == os.path.realpath(args.matrix_output)
-    ):
-        raise ParameterError("--output and --ids-output name the same file")
+    if args.ids_output and os.path.realpath(args.ids_output) in {
+        os.path.realpath(args.matrix_output),
+        os.path.realpath(twin_path(args.matrix_output)),
+    }:
+        raise ParameterError(
+            "--ids-output names the file of --output or of its binary twin"
+        )
     pairs, labels = read_pair_file(args.input)
     matrix = ingest_similarity(pairs, policy=args.policy)
     payload: dict = {

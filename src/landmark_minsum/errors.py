@@ -32,17 +32,18 @@ class InvariantViolation(DataError):
     """An internal contract did not hold (e.g. no clustered landmark exists)."""
 
 
-def open_input(path):
-    """Open an input file for reading; one that cannot be opened (missing,
-    a directory, unreadable) is a DataError naming the path."""
-    return _open(path, "r", "cannot open")
+def open_input(path, mode: str = "r"):
+    """Open an input file for reading (`mode` "rb" for bytes); one that
+    cannot be opened (missing, a directory, unreadable) is a DataError naming
+    the path."""
+    return _open(path, mode, "cannot open")
 
 
-def open_output(path):
-    """Open an output file for writing; one that cannot be created (in a
-    missing directory, a directory, read-only) is a DataError naming the
-    path."""
-    return _open(path, "w", "cannot write")
+def open_output(path, mode: str = "w"):
+    """Open an output file for writing (`mode` "wb" for bytes); one that
+    cannot be created (in a missing directory, a directory, read-only) is a
+    DataError naming the path."""
+    return _open(path, mode, "cannot write")
 
 
 @contextmanager

@@ -312,7 +312,11 @@ def generate_adversarial(kind: str, n: int, k: int, seed: int = 0) -> Instance:
 
 
 def save_bundle(inst: Instance, directory) -> None:
-    """Write matrix CSV + label CSV + instance JSON into one directory."""
+    """Write matrix CSV + label CSV + instance JSON into one directory.
+
+    The matrix goes to `matrix.csv` through `MetricMatrix.to_csv`, which
+    also writes its binary twin `matrix.csv.f8`.
+    """
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -383,6 +387,11 @@ def read_target_labels(path, n: int) -> Clustering:
 
 
 def load_bundle(directory) -> Instance:
+    """Read a `save_bundle` directory back into an `Instance`.
+
+    The matrix comes from `MetricMatrix.from_csv`, so from the binary twin
+    while it matches `matrix.csv`; `instance.json` may be absent.
+    """
     directory = Path(directory)
     matrix = MetricMatrix.from_csv(directory / "matrix.csv")
     target = read_target_labels(directory / "labels.csv", matrix.n)

@@ -6,10 +6,13 @@ distances use the +inf sentinel, which sorts above every finite value.
 
 from __future__ import annotations
 
+import hashlib
 import logging
+import os
 import threading
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -180,20 +183,42 @@ class MetricMatrix:
         return self.values.shape[0]
 
     def to_csv(self, path) -> None:
-        """Write `n` on the first line, then n rows of repr-exact values."""
-        with open_output(path) as fh:
-            fh.write(f"{self.n}\n")
-            for row in self.values:
-                # repr is the shortest round-trip form, and repr(inf) == "inf"
-                fh.write(",".join(map(repr, row.tolist())))
-                fh.write("\n")
+        """Write `n` on the first line, then n rows of repr-exact values.
+
+        If `path` is a regular file (not a FIFO or a terminal), also write
+        its binary twin `<path>.f8`: the SHA-256 of the CSV's bytes, then
+        the values as little-endian float64 in row-major order, which
+        `from_csv` loads in place of parsing the text.  If the twin cannot
+        be written, the CSV is removed again and a DataError names the twin.
+        """
+        digest = hashlib.sha256()
+        with open_output(path, "wb") as fh:
+            # repr is the shortest round-trip form, and repr(inf) == "inf"
+            rows = (",".join(map(repr, row.tolist())) for row in self.values)
+            for line in chain([str(self.n)], rows):
+                data = f"{line}\n".encode()
+                digest.update(data)
+                fh.write(data)
+        if os.path.isfile(path):
+            try:
+                _write_twin(path, digest.digest(), self.values)
+            except DataError:
+                os.remove(path)
+                raise
 
     @classmethod
     def from_csv(cls, path) -> "MetricMatrix":
         """Read the `to_csv` format bit-exact; malformed input raises DataError.
 
         Blank lines are skipped and whitespace around values is ignored.
+        The values come from the binary twin `<path>.f8` when it holds the
+        CSV's current SHA-256 and exactly n x n values; otherwise (no twin,
+        an edited CSV, a CSV from another tool) the text is parsed.  Either
+        way the constructor's checks run, and no file is written.
         """
+        values = _read_twin(path)
+        if values is not None:
+            return cls(values, copy=False)
         with open_input(path) as fh:
             header = fh.readline().strip()
             try:
@@ -216,7 +241,61 @@ class MetricMatrix:
             raise DataError(f"expected {n} values per row, got {cols}")
         if rows != n:
             raise DataError(f"expected {n} rows, got {rows}")
-        return cls(values, copy=False)
+        # an empty body reads as shape (0, 1)
+        return cls(values if rows else np.zeros((0, 0)), copy=False)
+
+
+# a twin is the CSV's SHA-256 digest, then n * n little-endian float64 values
+_TWIN_DTYPE = np.dtype("<f8")
+_DIGEST_BYTES = 32
+
+
+def twin_path(path) -> str:
+    """The path of the binary twin that `to_csv` writes beside `path`."""
+    return os.fspath(path) + ".f8"
+
+
+def _write_twin(path, digest: bytes, values: np.ndarray) -> None:
+    """Write the twin of the CSV at `path`; an incomplete twin is removed."""
+    twin = twin_path(path)
+    with open_output(twin, "wb") as fh:
+        try:
+            fh.write(digest)
+            # a view, not a copy, of the C-ordered little-endian values
+            fh.write(np.ascontiguousarray(values, dtype=_TWIN_DTYPE).data)
+            fh.flush()
+        except OSError as exc:
+            os.remove(twin)
+            raise DataError(f"{twin}: cannot write: {exc.strerror}") from None
+
+
+def _read_twin(path) -> np.ndarray | None:
+    """The values of the twin of the CSV at `path`, or None unless the twin
+    holds the CSV's SHA-256 and is exactly 32 + 8 n^2 bytes long."""
+    if not os.path.isfile(path):  # a FIFO's bytes can be read only once
+        return None
+    try:
+        with (open_input(path, "rb") as csv,
+              open_input(twin_path(path), "rb") as twin):
+            header = csv.readline()
+            try:
+                n = int(header)
+            except ValueError:
+                return None
+            size = os.fstat(twin.fileno()).st_size
+            if n < 0 or size != _DIGEST_BYTES + 8 * n * n:
+                return None
+            digest = hashlib.sha256(header)
+            for block in iter(lambda: csv.read(1 << 20), b""):
+                digest.update(block)
+            if twin.read(_DIGEST_BYTES) != digest.digest():
+                return None
+            values = np.empty((n, n), dtype=_TWIN_DTYPE)
+            if twin.readinto(values) != values.nbytes:
+                return None  # the twin shrank after its size was read
+    except (DataError, OSError):  # no twin, a directory there, a read error
+        return None
+    return values
 
 
 def _raise_csv_problem(path, n: int) -> None:
@@ -308,8 +387,8 @@ def check_metric(
             bad[j, :] = False
             bad[:, j] = False
             if bad.any():
-                for i, k in np.argwhere(np.triu(bad, 1)):
-                    violations.append((int(i), j, int(k)))
+                i, k = np.nonzero(np.triu(bad, 1))
+                violations.extend(zip(i.tolist(), repeat(j), k.tolist()))
     elif mode == "sampled":
         if sample_triples < 0:
             raise ParameterError(

@@ -56,8 +56,24 @@ class TestGenerateCommand:
         payload = json.loads(stdout)
         assert payload["n"] == 35 and payload["k"] == 2
         assert (out / "matrix.csv").exists()
+        assert (out / "matrix.csv.f8").exists()
         assert (out / "labels.csv").exists()
         assert (out / "instance.json").exists()
+
+    def test_unwritable_twin_leaves_no_file(self, capsys, tmp_path):
+        # a directory where the matrix's binary twin goes
+        twin = tmp_path / "inst" / "matrix.csv.f8"
+        twin.mkdir(parents=True)
+        code, stdout, err = run_cli(
+            capsys, "generate", "--sizes", "5,4", "--theta", "1.0",
+            "--seed", "1", "--output", str(tmp_path / "inst"),
+        )
+        assert code == 3 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert payload["message"].startswith(f"{twin}: cannot write: ")
+        assert list((tmp_path / "inst").iterdir()) == [twin]
+        assert list(twin.iterdir()) == []
 
     def test_missing_output_is_parameter_error(self, capsys, monkeypatch):
         # refused before any point is generated
@@ -664,11 +680,42 @@ class TestIngestCommand:
         assert json.loads(err)["error"] == "DataError"
         assert list(tmp_path.iterdir()) == [tsv]
 
+    def test_unwritable_twin_leaves_no_file(self, capsys, tmp_path):
+        # a directory where the matrix's binary twin goes
+        tsv = tmp_path / "pairs.tsv"
+        tsv.write_text("id_a\tid_b\tbit_score\na\tb\t50\n")
+        twin = tmp_path / "m.csv.f8"
+        twin.mkdir()
+        code, stdout, err = run_cli(
+            capsys, "ingest", "--input", str(tsv), "--output",
+            str(tmp_path / "m.csv"), "--ids-output", str(tmp_path / "i.csv"),
+        )
+        assert code == 3 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert payload["message"].startswith(f"{twin}: cannot write: ")
+        assert sorted(tmp_path.iterdir()) == [twin, tsv]
+        assert list(twin.iterdir()) == []
+
     def test_one_file_for_both_outputs_is_refused(self, capsys, tmp_path):
         out = tmp_path / "m.csv"
         code, stdout, err = run_cli(
             capsys, "ingest", "--input", str(tmp_path / "absent.tsv"),
             "--output", str(out), "--ids-output", str(tmp_path / "." / "m.csv"),
+        )
+        assert code == 2 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert "--output" in payload["message"]
+        assert "--ids-output" in payload["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ids_output_on_the_binary_twin_is_refused(self, capsys, tmp_path):
+        # the twin would overwrite the ids file that is open for writing
+        code, stdout, err = run_cli(
+            capsys, "ingest", "--input", str(tmp_path / "absent.tsv"),
+            "--output", str(tmp_path / "m.csv"),
+            "--ids-output", str(tmp_path / "m.csv.f8"),
         )
         assert code == 2 and stdout == ""
         payload = json.loads(err)

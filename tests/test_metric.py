@@ -1,8 +1,14 @@
+import hashlib
 import importlib
 import itertools
 import math
+import os
+import re
+import tempfile
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,15 +250,19 @@ class TestMetricMatrix:
         assert inst.matrix.values is made[-1]
         assert not inst.matrix.values.flags.writeable
 
-    @pytest.mark.parametrize("build", ["from_csv", "ingest_similarity"])
+    @pytest.mark.parametrize("build", ["from_csv", "from_csv_text", "ingest_similarity"])
     def test_read_array_is_handed_over(self, build, tmp_path):
         # the array the reader builds is the matrix's: no second n x n
-        # array is alive at the peak
+        # array is alive at the peak, whether it comes from the binary twin
+        # or from parsing the text
         m = random_metric(600, 2, seed=8)
         path = tmp_path / "m.csv"
         m.to_csv(path)
+        if build == "from_csv_text":
+            (tmp_path / "m.csv.f8").unlink()
         pairs = [(i, i + 1, 50.0) for i in range(599)]
         call = {"from_csv": lambda: MetricMatrix.from_csv(path),
+                "from_csv_text": lambda: MetricMatrix.from_csv(path),
                 "ingest_similarity": lambda: ingest_similarity(pairs)}[build]
         call()  # first-use allocations
         tracemalloc.start()
@@ -339,6 +349,131 @@ class TestMetricMatrix:
         path = tmp_path / "m.csv"
         path.write_text("3\n0,+inf,1e400\nInfinity,0,inf\n1e400,inf,0\n")
         assert np.isposinf(MetricMatrix.from_csv(path).values[~np.eye(3, dtype=bool)]).all()
+
+
+def _read_outcome(path):
+    """What `from_csv` gives: the values' bytes, or the DataError message."""
+    try:
+        return "values", MetricMatrix.from_csv(path).values.tobytes()
+    except DataError as exc:
+        return "error", str(exc)
+
+
+def _edit_cells(path, cells, text):
+    """Rewrite the CSV at `path` with `text` at each (row, column) of `cells`."""
+    lines = path.read_text().splitlines()
+    for i, j in cells:
+        row = lines[1 + i].split(",")
+        row[j] = text
+        lines[1 + i] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+# adversarial floats for the twin: signed zeros, the smallest subnormal, the
+# largest finite float and the +inf sentinel
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf]
+
+
+class TestCsvTwin:
+    """`to_csv` writes `<path>.f8` beside the CSV; `from_csv` reads it only
+    while it matches the CSV, and otherwise gives what parsing gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12))
+    def test_twin_reads_what_the_text_reads(self, data, n):
+        value = st.sampled_from(_EDGE_FLOATS) | st.floats(0.0, allow_nan=False)
+        upper = data.draw(st.lists(value, min_size=n * (n - 1) // 2,
+                                   max_size=n * (n - 1) // 2))
+        diagonal = data.draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                      min_size=n, max_size=n))
+        vals = np.diag(np.array(diagonal, dtype=np.float64))
+        iu = np.triu_indices(n, 1)
+        vals[iu] = upper
+        vals.T[iu] = upper
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            MetricMatrix(vals).to_csv(path)
+            twin = Path(tmp) / "m.csv.f8"
+            raw = twin.read_bytes()
+            assert raw[:32] == hashlib.sha256(path.read_bytes()).digest()
+            assert raw[32:] == vals.astype("<f8").tobytes()
+            assert metric_module._read_twin(path) is not None
+            via_twin = MetricMatrix.from_csv(path).values.tobytes()
+            twin.unlink()
+            via_text = MetricMatrix.from_csv(path).values.tobytes()
+        assert via_twin == via_text == vals.tobytes()
+
+    def test_matching_twin_is_read_without_parsing(self, tmp_path, monkeypatch):
+        m = random_metric(30, 3, seed=4)
+        path = tmp_path / "m.csv"
+        m.to_csv(path)
+        monkeypatch.setattr(np, "loadtxt", pytest.fail)
+        again = MetricMatrix.from_csv(path)
+        assert np.array_equal(again.values.view(np.uint64), m.values.view(np.uint64))
+        assert not again.values.flags.writeable
+
+    @pytest.mark.parametrize("tamper", [
+        "edited-pair", "edited-cell", "blank-line", "truncated-twin",
+        "other-twin", "directory-twin",
+    ])
+    def test_mismatched_twin_reads_as_text(self, tmp_path, tamper):
+        m = random_metric(6, 2, seed=3)
+        path = tmp_path / "m.csv"
+        twin = tmp_path / "m.csv.f8"
+        m.to_csv(path)
+        if tamper == "edited-pair":  # a stale twin would give the old value
+            _edit_cells(path, [(0, 1), (1, 0)], "7.5")
+        elif tamper == "edited-cell":  # now asymmetric: a DataError
+            _edit_cells(path, [(2, 4)], "0.25")
+        elif tamper == "blank-line":
+            with open(path, "a") as fh:
+                fh.write("\n")
+        elif tamper == "truncated-twin":
+            twin.write_bytes(twin.read_bytes()[:-8])
+        elif tamper == "other-twin":  # same n, so only the digest differs
+            other = tmp_path / "other.csv"
+            random_metric(6, 2, seed=9).to_csv(other)
+            os.replace(tmp_path / "other.csv.f8", twin)
+            other.unlink()
+        else:
+            twin.unlink()
+            twin.mkdir()
+        listing = sorted(os.listdir(tmp_path))
+        twin_bytes = twin.read_bytes() if twin.is_file() else None
+        with_twin = _read_outcome(path)
+        assert sorted(os.listdir(tmp_path)) == listing
+        assert (twin.read_bytes() if twin.is_file() else None) == twin_bytes
+        if twin.is_dir():
+            twin.rmdir()
+        else:
+            twin.unlink()
+        assert with_twin == _read_outcome(path)
+        if tamper == "edited-pair":
+            assert MetricMatrix.from_csv(path).values[0, 1] == 7.5
+        if tamper == "edited-cell":
+            assert with_twin == ("error", "matrix not symmetric at (2,4)")
+
+    def test_unwritable_twin_removes_the_csv(self, tmp_path):
+        (tmp_path / "m.csv.f8").mkdir()
+        twin = re.escape(str(tmp_path / "m.csv.f8"))
+        with pytest.raises(DataError, match=f"^{twin}: cannot write: "):
+            random_metric(5, 2, seed=1).to_csv(tmp_path / "m.csv")
+        assert sorted(os.listdir(tmp_path)) == ["m.csv.f8"]
+        assert not os.listdir(tmp_path / "m.csv.f8")
+
+    def test_fifo_gets_no_twin(self, tmp_path):
+        m = random_metric(40, 2, seed=2)
+        m.to_csv(tmp_path / "plain.csv")
+        fifo = tmp_path / "m.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        m.to_csv(fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [(tmp_path / "plain.csv").read_bytes()]
+        assert sorted(os.listdir(tmp_path)) == ["m.csv", "plain.csv", "plain.csv.f8"]
 
 
 class TestCheckMetric:
