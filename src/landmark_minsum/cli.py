@@ -10,6 +10,7 @@ reproduced byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -374,7 +375,10 @@ def _add_stability(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="landmark-minsum",
         description="Landmark-based min-sum clustering under a query budget",

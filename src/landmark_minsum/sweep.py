@@ -82,7 +82,9 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
     resumes from the state saved just before that extraction
     (`_stream_min_sum`'s `saves`) and inherits the saved states before it.
     The stream's chunks are sorted and turned into Python lists once, when
-    the first run reaches them, and a saved state points into those lists.
+    the first run reaches them, and a saved state points into those lists;
+    each chunk keeps its sorted columns beside the lists, for the stretches
+    a run inserts in bulk.
     """
     n = table.n
     rows = table.rows
@@ -101,7 +103,7 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
         # runs read one at a time, so only the current one appends
         yield from converted[first:]
         for c in pending:
-            converted.append([col.tolist() for col in c])
+            converted.append([col.tolist() for col in c] + [*c])
             yield converted[-1]
 
     saves: list[_RunState] = []

@@ -601,6 +601,39 @@ def test_readme_cli_examples_parse():
         parser.parse_args(argv[1:])
 
 
+
+class TestSharedParser:
+    def test_calls_in_one_process_match_fresh_calls(self, capsys, tmp_path):
+        # `main` parses with one parser per process; a failing call, in
+        # `main` or in argparse, leaves it as it was
+        path = write_matrix(tmp_path, random_metric(8, 2, seed=1))
+        calls = [
+            ["cluster", "--input", path, "--k", "2", "--landmarks", "3"],
+            ["cluster", "--input", path, "--k", "2", "--landmarks", "3",
+             "--threshold", "5.0", "--seed", "1"],
+            ["cluster", "--k"],
+            ["sweep", "--input", path, "--k", "2", "--landmarks", "3",
+             "--stop-bound", "1", "--seed", "1", "--format", "compact"],
+            ["--version"],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --version
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [call(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(call(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 2, 0, 0]
+        assert build_parser() is build_parser()
+
 class TestMissingInput:
     @pytest.mark.parametrize("reader", ["matrix", "labels", "clustering", "bundle"])
     def test_missing_file_is_data_error(self, capsys, bundle_dir, tmp_path, reader):

@@ -525,6 +525,68 @@ class TestMatchesLoopOracle:
         assert res.clustering is built[-1]
 
 
+def assert_bulk_matches_loop(table, k, t, least, first):
+    """`_stream_min_sum`, with stretches from `least` pairs and a first chunk
+    of about `first` pairs, equals `oracles.loop_stream_min_sum` in clusters
+    and fired product, on each chunk form: the memoryviews a single run
+    reads, the lists a caller converts, and those lists with the
+    memoryviews beside them, as `sweep` keeps them."""
+    ref, ref_fired = loop_stream_min_sum(table, k, t)
+    with mock.patch.object(landmark_module, "_MIN_STRETCH", least), \
+            mock.patch.object(landmark_module, "_FIRST_CHUNK", first):
+        for chunks in (table.chunks(),
+                       ([col.tolist() for col in c] for c in table.chunks()),
+                       ([col.tolist() for col in c] + [*c]
+                        for c in table.chunks())):
+            clusters, fired = _stream_min_sum(table, k, t, chunks)
+            assert _as_clustering(table, k, clusters).to_dict() == ref.to_dict()
+            assert fired == ref_fired
+
+
+# (points on a line or grid, landmark points, k, T, whether a stretch
+# must read the clustered-point mask)
+BULK_CASES = {
+    # the run at T = 3 inserts points 0 and 1, then point 2 at the same
+    # distance 2: its test is skipped, though 2 * 2 > 3
+    "tie across a stretch edge": ([(0, 0), (2, 0), (2, 0)], [0], 1, 3.0, False),
+    # every pair at distance 0: nothing fires, the stream runs out
+    "zero distances": ([(1, 1)] * 4, [0, 2], 2, 1.0, False),
+    # three copies of one point fire at the first distance 1 (3 * 1 > 2.5)
+    "duplicate points": ([(0, 0)] * 3 + [(1, 0)] * 2, [0, 3], 2, 2.5, False),
+    # the ball {1, 2, 3} fires at distance 2; the stretch after it holds
+    # the dead pairs of points 1-3 and the live pair (4, 0); two clusters
+    # form where k = 5 asks for more
+    "dead pairs in a stretch": ([(1, 0), (2, 0), (3, 0), (3, 0), (5, 0)],
+                                [3, 4], 5, 4.5, True),
+    "nothing fires at T = 1e30": ([(0, 0), (1, 2), (3, 1), (2, 2), (0, 3), (3, 3)],
+                                  [1, 4], 2, 1e30, False),
+}
+
+
+class TestBulkStretches:
+    """Differential gate for the quiet stretches a run inserts in bulk: with
+    stretches from 1-8 pairs and first chunks of 1-8 pairs, stretch edges
+    fall between tied pairs, inside dead gaps and next to extractions."""
+
+    @given(stream_cases(), st.integers(1, 8), st.integers(1, 8), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_small_adversarial_tables(self, case, least, first, huge):
+        table, k, t = case
+        assert_bulk_matches_loop(table, k, 1e30 if huge else t, least, first)
+
+    @pytest.mark.parametrize("name", BULK_CASES)
+    def test_named_cases(self, name):
+        coords, landmarks, k, t, masked = BULK_CASES[name]
+        table = table_for(euclidean_matrix(coords), landmarks)
+        with mock.patch.object(np, "split", wraps=np.split) as inserted, \
+                mock.patch.object(np, "fromiter", wraps=np.fromiter) as mask:
+            for least in range(1, 9):
+                for first in range(1, 9):
+                    assert_bulk_matches_loop(table, k, t, least, first)
+        assert inserted.called  # some stretch went in bulk
+        assert mask.called or not masked
+
+
 class TestStreamReadInPlace:
     """Runs keep no copy of the pair stream on the table: it stays as built,
     the build sorts nothing, and a run that stops early allocates next to

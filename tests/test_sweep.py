@@ -229,6 +229,27 @@ class TestSweep:
         assert len(d["candidates_tried"]) == res.runs_executed
 
 
+@st.composite
+def adversarial_cases(draw):
+    """(table, k, b) on integer grid points: tied distances; repeated
+    points: zero distances; a second component: +inf distances."""
+    n = draw(st.integers(1, 25), label="n")
+    coords = draw(st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        min_size=n, max_size=n,
+    ), label="coords")
+    component = np.array(draw(st.lists(
+        st.integers(0, 1), min_size=n, max_size=n,
+    ), label="component"))
+    vals = euclidean_matrix(coords).values.copy()
+    vals[component[:, None] != component[None, :]] = np.inf
+    n_prime = draw(st.integers(1, n), label="n_prime")
+    landmarks = draw(st.permutations(range(n)), label="order")[:n_prime]
+    k = draw(st.integers(1, n), label="k")
+    b = draw(st.integers(0, n - 1), label="b")
+    return table_for(MetricMatrix(vals), landmarks), k, b
+
+
 class TestMatchesCandidateWalk:
     """Differential gate: the jump walk against `oracles.candidate_sweep`."""
 
@@ -251,26 +272,25 @@ class TestMatchesCandidateWalk:
         t = table_for(matrix, sample_landmarks(matrix.n, 6, seed=3))
         assert_matches_oracle(t, 3, 2)
 
-    @given(st.data())
+    @given(adversarial_cases())
     @settings(max_examples=150, deadline=None)
-    def test_small_adversarial_metrics(self, data):
-        # integer grid points: tied distances; repeated points: zero
-        # distances; a second component: +inf distances
-        n = data.draw(st.integers(1, 25), label="n")
-        coords = data.draw(st.lists(
-            st.tuples(st.integers(0, 4), st.integers(0, 4)),
-            min_size=n, max_size=n,
-        ), label="coords")
-        component = np.array(data.draw(st.lists(
-            st.integers(0, 1), min_size=n, max_size=n,
-        ), label="component"))
-        vals = euclidean_matrix(coords).values.copy()
-        vals[component[:, None] != component[None, :]] = np.inf
-        n_prime = data.draw(st.integers(1, n), label="n_prime")
-        landmarks = data.draw(st.permutations(range(n)), label="order")[:n_prime]
-        k = data.draw(st.integers(1, n), label="k")
-        b = data.draw(st.integers(0, n - 1), label="b")
-        assert_matches_oracle(table_for(MetricMatrix(vals), landmarks), k, b)
+    def test_small_adversarial_metrics(self, case):
+        assert_matches_oracle(*case)
+
+    @given(adversarial_cases(), st.integers(1, 8), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_stretches_match_the_replay(self, case, least, first):
+        # stretches from 1-8 pairs and first chunks of 1-8 pairs put
+        # stretch edges between ties, in dead gaps and at resume points;
+        # the replay runs at the default sizes
+        table, k, b = case
+        try:
+            replayed = json.dumps(replay_sweep(table, k, b).to_dict())
+        except DataError:
+            return  # no positive finite distance: nothing to sweep
+        with mock.patch.object(landmark_module, "_MIN_STRETCH", least), \
+                mock.patch.object(landmark_module, "_FIRST_CHUNK", first):
+            assert json.dumps(sweep(table, k, b).to_dict()) == replayed
 
 
 def tied_minimum_case():
@@ -352,3 +372,52 @@ class TestResumeMutants:
                             mutant_kernel(RESUME_MUTANTS[name]))
         with pytest.raises(AssertionError):
             assert_matches_oracle(*case())
+
+
+def tie_after_stretch_case():
+    """A tie right after a bulk stretch.  Point 0 is the one landmark and
+    points 1 and 2 sit together at distance 2 from it.  With stretches of 1
+    or 2 pairs, the run at T = 2 inserts points 0 and 1 in bulk and stops
+    before point 2, whose test 2 * 2 > 2 would fire; the loop skips that
+    test, as the distance did not change, and clusters all three points."""
+    return table_for(euclidean_matrix([(0, 0), (2, 0), (2, 0)]), [0]), 1, 0
+
+
+# mutants of the bulk stretch, as (old, new) edits of the kernel's source
+BULK_MUTANTS = {
+    # the bound at the current largest ball, not at the sizes the stretch
+    # grows the balls to
+    "current-max-size": [("if grown.max() * r > T:", "if max_size * r > T:")],
+    "first-distance": [("if grown.max() * r > T:",
+                        "if grown.max() * dist[pos] > T:")],
+    # `last` left as before the stretch, so a tie right after it is tested
+    "stale-last": [("                    last = r\n", "")],
+}
+BULK_MUTANT_CASES = {
+    "current-max-size": lambda: criterion_07_case(0),
+    "first-distance": lambda: criterion_07_case(0),
+    "stale-last": tie_after_stretch_case,
+}
+
+
+class TestBulkMutants:
+    """Each mutant of the bulk stretch makes the gate fail on a committed
+    case once a stretch may be one pair long; the unedited rebuild passes
+    it."""
+
+    @staticmethod
+    def use(edits, monkeypatch):
+        kernel = mutant_kernel(edits)
+        kernel.__globals__["_MIN_STRETCH"] = 1  # its own copy of the module's
+        monkeypatch.setattr(sweep_module, "_stream_min_sum", kernel)
+
+    def test_rebuilt_kernel_passes(self, monkeypatch):
+        self.use([], monkeypatch)
+        for case in BULK_MUTANT_CASES.values():
+            assert_matches_oracle(*case())
+
+    @pytest.mark.parametrize("name", BULK_MUTANTS)
+    def test_mutant_fails_the_gate(self, name, monkeypatch):
+        self.use(BULK_MUTANTS[name], monkeypatch)
+        with pytest.raises(AssertionError):
+            assert_matches_oracle(*BULK_MUTANT_CASES[name]())
