@@ -75,15 +75,15 @@ _EXIT_CODES = {
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 0
+    env = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        seed = args.seed if args.seed is not None else int(env)
+    except ValueError:
+        raise ParameterError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+    if seed < 0:
+        source = "--seed" if args.seed is not None else SEED_ENV_VAR
+        raise ParameterError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _emit(payload: dict, args) -> None:
@@ -288,7 +288,7 @@ def cmd_verify(args) -> dict:
     out["metric_check"] = {
         "mode": metric_report.mode,
         "triples_checked": metric_report.triples_checked,
-        "violations": len(metric_report.violations),
+        "violations": metric_report.violations,
     }
     if args.check_stability:
         verdict = verify_stability(

@@ -34,8 +34,8 @@ class InvariantViolation(DataError):
 
 def open_input(path, mode: str = "r"):
     """Open an input file for reading (`mode` "rb" for bytes); one that
-    cannot be opened (missing, a directory, unreadable) is a DataError naming
-    the path."""
+    cannot be opened (missing, a directory, unreadable) or, read as text,
+    cannot be decoded is a DataError naming the path."""
     return _open(path, mode, "cannot open")
 
 
@@ -53,4 +53,7 @@ def _open(path, mode: str, failure: str):
     except OSError as exc:
         raise DataError(f"{path}: {failure}: {exc.strerror}") from None
     with fh:
-        yield fh
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not {exc.encoding} text: {exc.reason}") from None

@@ -11,8 +11,8 @@ import logging
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
-from itertools import chain, repeat
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -333,7 +333,8 @@ class MetricReport:
     n: int
     mode: str
     triples_checked: int
-    violations: list[tuple[int, int, int]] = field(default_factory=list)
+    violations: int = 0
+    witness: tuple[int, int, int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -341,9 +342,7 @@ class MetricReport:
 
     @property
     def fraction_violating(self) -> float:
-        if self.triples_checked == 0:
-            return 0.0
-        return len(self.violations) / self.triples_checked
+        return self.violations / max(self.triples_checked, 1)
 
 
 # Relative slack absorbing float rounding in Euclidean-embedded instances;
@@ -371,35 +370,36 @@ def check_metric(
     """Audit the triangle inequality over finite entries.
 
     Exhaustive mode examines all C(n,3) unordered triples; sampled mode
-    examines `sample_triples` uniform ones.  A triple is reported (once,
-    oriented as its violating inequality) when d(i,k) > d(i,j) + d(j,k).
+    examines `sample_triples` uniform ones.  A triple is counted once when
+    d(i,k) > d(i,j) + d(j,k); the witness (i, j, k) is the first met: by j,
+    then row-major (i, k) with i < k, or in draw order.
     """
     d = m.values
     n = m.n
-    violations: list[tuple[int, int, int]] = []
+    violations, witness = 0, None
     if mode == "exhaustive":
         checked = n * (n - 1) * (n - 2) // 6
         for j in range(n):
-            # via-j sums for all (i, k); a violated side d(i,k) is the
-            # triple's strict largest (distances are non-negative), so no
-            # other middle point violates and each triple is reported once
+            # via-j sums for all (i, k); a violated d(i,k) is its triple's
+            # strict largest side, so only this j counts it, at (i, k) and
+            # at (k, i): `bad` is symmetric, and its first entry has i < k
             bad = _violates(d, d[:, j][:, None], d[j, :][None, :])
             bad[j, :] = False
             bad[:, j] = False
-            if bad.any():
-                i, k = np.nonzero(np.triu(bad, 1))
-                violations.extend(zip(i.tolist(), repeat(j), k.tolist()))
+            if bad.any():  # a metric input pays this test alone
+                violations += int(np.count_nonzero(bad)) // 2
+                if witness is None:
+                    i, k = divmod(int(bad.argmax()), n)
+                    witness = (i, j, k)
     elif mode == "sampled":
         if sample_triples < 0:
             raise ParameterError(
                 f"sample_triples must be non-negative, got {sample_triples}"
             )
-        if n < 3:
-            return MetricReport(n, mode, 0, [])
         rng = np.random.default_rng(seed)
-        checked = sample_triples
+        checked = sample_triples if n >= 3 else 0  # no triple to draw
         i, j, k = np.array(
-            [rng.choice(n, size=3, replace=False) for _ in range(sample_triples)],
+            [rng.choice(n, size=3, replace=False) for _ in range(checked)],
             dtype=np.intp,
         ).reshape(-1, 3).T
         orients = np.stack([(i, j, k), (j, i, k), (i, k, j)])
@@ -409,14 +409,11 @@ def check_metric(
         # (its strict largest side), so each draw has at most one witness
         draw, orient = np.nonzero(bad.T)
         witnesses = orients[orient, :, draw]
-        # the first draw of each unordered triple reports it
-        first: dict = {}
-        for w in witnesses.tolist():
-            first.setdefault(tuple(sorted(w)), tuple(w))
-        violations = list(first.values())
+        violations = len(np.unique(np.sort(witnesses, axis=1), axis=0))
+        witness = tuple(witnesses[0].tolist()) if violations else None
     else:
         raise ParameterError(f"unknown check mode {mode!r}")
-    return MetricReport(n, mode, checked, violations)
+    return MetricReport(n, mode, checked, violations, witness)
 
 
 def _combine(distances: list[float], policy: str) -> float:

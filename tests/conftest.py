@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -30,6 +31,18 @@ def euclidean_matrix(points) -> MetricMatrix:
 def random_metric(n: int, dim: int, seed: int, scale: float = 10.0) -> MetricMatrix:
     rng = np.random.default_rng(seed)
     return euclidean_matrix(rng.uniform(0.0, scale, size=(n, dim)))
+
+
+def rebuilt(function, edits=()):
+    """`function` recompiled from its source, with each (old, new) text edit
+    applied, in a copy of its module's namespace: the mutant of a gate."""
+    source = inspect.getsource(function)
+    for old, new in edits:
+        assert source.count(old) == 1, old  # the mutant still applies
+        source = source.replace(old, new)
+    namespace = dict(function.__globals__)
+    exec(compile(source, "<mutant>", "exec"), namespace)
+    return namespace[function.__name__]
 
 
 def random_symmetric(n: int, seed: int, scale: float = 5.0) -> MetricMatrix:

@@ -11,8 +11,10 @@ saved.
 `conceptual_cluster_min_sum` restates the pair stream sweep of
 `cluster_min_sum` over continuous radii, and `loop_stream_min_sum` is the
 cursor-and-peek loop the single-pass kernel replaced.
-`sampled_check_metric` is the per-triple loop the sampled triangle audit
-vectorises.  `emit_pairs` inverts `ingest_similarity`.
+`exhaustive_check_metric` and `sampled_check_metric` are the per-triple
+loops the triangle audit vectorises: each lists the violating triples the
+audit counts, in the order in which it meets them, so the first is its
+witness.  `emit_pairs` inverts `ingest_similarity`.
 `partitions_upto_k` is the recursive generator of the restricted-growth
 label rows that `partition_chunks` builds in numpy.  `brute_force_optimum`
 and `two_pass_verify_stability` score every partition through the public
@@ -26,6 +28,7 @@ which `classify_points` does in one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from math import inf as INF
@@ -37,7 +40,6 @@ from landmark_minsum import (
     DataError,
     LandmarkTable,
     MetricMatrix,
-    MetricReport,
     ObjectiveValue,
     ParameterError,
     StabilityParams,
@@ -407,30 +409,39 @@ def _triple_violations(d: np.ndarray, i, j, k):
             yield (int(a), int(b), int(c))
 
 
+def exhaustive_check_metric(m: MetricMatrix) -> list[tuple[int, int, int]]:
+    """The violating triples of `check_metric(m, mode="exhaustive")`, one
+    triple at a time: each once, as (a, b, c) with a < c, ordered by the
+    middle point b, then a, then c."""
+    found = []
+    for triple in itertools.combinations(range(m.n), 3):
+        for a, b, c in _triple_violations(m.values, *triple):
+            found.append((min(a, c), b, max(a, c)))
+            break
+    return sorted(found, key=lambda w: (w[1], w[0], w[2]))
+
+
 def sampled_check_metric(
     m: MetricMatrix, sample_triples: int = 10_000, seed: int = 0
-) -> MetricReport:
-    """`check_metric(m, mode="sampled")` one drawn triple at a time: the
-    first violated orientation of each draw, reported at the first draw of
-    its unordered triple."""
+) -> list[tuple[int, int, int]]:
+    """The violating triples of `check_metric(m, mode="sampled")`, one drawn
+    triple at a time: the first violated orientation of each draw, listed
+    at the first draw of its unordered triple."""
     d = m.values
-    n = m.n
-    mode = "sampled"
     violations: list[tuple[int, int, int]] = []
-    if n < 3:
-        return MetricReport(n, mode, 0, [])
+    if m.n < 3:
+        return violations
     rng = np.random.default_rng(seed)
-    checked = sample_triples
     seen = set()
     for _ in range(sample_triples):
-        i, j, k = rng.choice(n, size=3, replace=False)
+        i, j, k = rng.choice(m.n, size=3, replace=False)
         for witness in _triple_violations(d, i, j, k):
             key = tuple(sorted(witness))
             if key not in seen:
                 seen.add(key)
                 violations.append(witness)
             break
-    return MetricReport(n, mode, checked, violations)
+    return violations
 
 
 def emit_pairs(m: MetricMatrix):

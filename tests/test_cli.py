@@ -20,7 +20,8 @@ from landmark_minsum import (
 )
 from landmark_minsum.cli import build_parser, main
 
-from conftest import random_metric, structure_violation_case
+from conftest import random_metric, random_symmetric, structure_violation_case
+from oracles import exhaustive_check_metric
 
 
 def run_cli(capsys, *argv):
@@ -457,6 +458,23 @@ class TestVerifyCommand:
         )
         assert "part3" not in payload["witnesses"]
 
+    def test_triangle_violations_counted(self, capsys, tmp_path):
+        # a non-metric input is audited, not refused: the artifact counts
+        # its violating triples
+        m = random_symmetric(40, seed=8)
+        labels = tmp_path / "labels.csv"
+        write_labels_csv(labels, [i % 2 for i in range(40)])
+        code, stdout, _ = run_cli(
+            capsys, "verify", "--input", write_matrix(tmp_path, m),
+            "--labels", str(labels), "--alpha", "1", "--epsilon", "0.1",
+        )
+        assert code == 0
+        violations = len(exhaustive_check_metric(m))
+        assert violations > 0
+        assert json.loads(stdout)["metric_check"] == {
+            "mode": "exhaustive", "triples_checked": 9880, "violations": violations,
+        }
+
     def test_stability_check_on_tiny_instance(self, capsys, tmp_path):
         inst = generate(InstanceSpec(sizes=(5, 4), theta=1.5, seed=11))
         out = tmp_path / "tiny"
@@ -586,6 +604,34 @@ def test_seed_refused_where_nothing_is_drawn(capsys, argv):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--sizes", "5,4", "--theta", "1.0", "--output", "{tmp}/inst"],
+    ["cluster", "--input", "{matrix}", "--k", "3", "--landmarks", "4",
+     "--threshold", "5"],
+    ["sweep", "--input", "{matrix}", "--k", "3", "--landmarks", "4",
+     "--stop-bound", "3"],
+    ["baseline", "--input", "{matrix}", "--k", "3", "--landmarks", "4"],
+    ["verify", "--input", "{bundle}"],
+], ids=["generate", "cluster", "sweep", "baseline", "verify"])
+@pytest.mark.parametrize("source", ["--seed", "LANDMARK_MINSUM_SEED"])
+def test_negative_seed_is_parameter_error(
+    capsys, bundle_dir, tmp_path, monkeypatch, argv, source
+):
+    out, _ = bundle_dir
+    argv = [a.format(matrix=out / "matrix.csv", bundle=out, tmp=tmp_path)
+            for a in argv]
+    if source == "--seed":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv(source, "-4")
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParameterError"
+    assert payload["message"].startswith(f"{source} must be non-negative, got -")
+    assert not (tmp_path / "inst").exists()
+
+
 def test_readme_cli_examples_parse():
     # every command in the README's CLI block names only existing flags
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -657,6 +703,30 @@ class TestMissingInput:
         payload = json.loads(err)
         assert payload["error"] == "DataError"
         assert f"{missing}: cannot open" in payload["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--input", "{twin}", "--k", "3", "--landmarks", "4",
+         "--threshold", "5"],
+        ["sweep", "--input", "{twin}", "--k", "3", "--landmarks", "4",
+         "--stop-bound", "3"],
+        ["verify", "--input", "{matrix}", "--labels", "{twin}",
+         "--alpha", "1", "--epsilon", "0.1"],
+        ["ingest", "--input", "{twin}", "--output", "{tmp}/m.csv"],
+    ], ids=["cluster", "sweep", "verify-labels", "ingest"])
+    def test_binary_file_is_data_error(self, capsys, bundle_dir, tmp_path, argv):
+        # the matrix's binary twin, passed where a text file goes
+        out, _ = bundle_dir
+        twin = out / "matrix.csv.f8"
+        argv = [a.format(twin=twin, matrix=out / "matrix.csv", tmp=tmp_path)
+                for a in argv]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 3 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        # "not utf-8 text" under a UTF-8 locale
+        assert payload["message"].startswith(f"{twin}: not ")
+        assert " text: " in payload["message"]
+        assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("argv, path", [

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+import json
 import math
 import os
 import re
@@ -37,8 +38,8 @@ from landmark_minsum import (
 )
 from landmark_minsum.metric import _TRIANGLE_REL_TOL, euclidean_rows
 
-from conftest import euclidean_matrix, random_metric
-from oracles import emit_pairs, sampled_check_metric
+from conftest import euclidean_matrix, random_metric, random_symmetric, rebuilt
+from oracles import emit_pairs, exhaustive_check_metric, sampled_check_metric
 
 generate_module = importlib.import_module("landmark_minsum.generate")
 metric_module = importlib.import_module("landmark_minsum.metric")
@@ -487,9 +488,11 @@ class TestCheckMetric:
         vals = np.array([[0, 1, 3], [1, 0, 1], [3, 1, 0]], dtype=float)
         m = MetricMatrix(vals)
         report = check_metric(m, mode="exhaustive")
-        assert len(report.violations) == 1
-        i, j, k = report.violations[0]
+        assert report.violations == 1
+        assert report.witness == (0, 1, 2)
+        i, j, k = report.witness
         assert vals[i, k] > vals[i, j] + vals[j, k]
+        assert report.fraction_violating == 1.0
 
     def test_generated_instance_clean_exhaustive(self):
         m = random_metric(100, 3, seed=6)
@@ -535,7 +538,7 @@ class TestCheckMetric:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_exhaustive_matches_all_triples(self, data):
-        m = self.draw_matrix(data, 0, 10)
+        m = self.draw_matrix(data, 0, 13)
         n = m.n
         d = m.values.tolist()
 
@@ -548,24 +551,34 @@ class TestCheckMetric:
             triple for triple in itertools.combinations(range(n), 3)
             if any(violates(*o) for o in itertools.permutations(triple))
         }
-        got = check_metric(m, mode="exhaustive").violations
-        assert len({tuple(sorted(v)) for v in got}) == len(got)
-        assert {tuple(sorted(v)) for v in got} == expected
-        assert all(violates(*v) for v in got)
+        with np.errstate(over="ignore"):  # the loop's scalar sums overflow
+            want = exhaustive_check_metric(m)
+        assert {tuple(sorted(v)) for v in want} == expected
+        got = check_metric(m, mode="exhaustive")
+        assert got.violations == len(expected)
+        assert got.witness == (want[0] if want else None)
+        json.dumps(vars(got))  # plain ints, not numpy scalars
+        assert got.witness is None or violates(*got.witness)
+        assert got.ok == (not expected)
+        assert got.fraction_violating == len(expected) / max(math.comb(n, 3), 1)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_sampled_matches_per_triple_loop(self, data):
-        m = self.draw_matrix(data, 3, 12)
-        # up to twice C(12, 3): triples repeat, and 0 draws none
-        sample_triples = data.draw(st.integers(0, 440), label="sample_triples")
+        m = self.draw_matrix(data, 0, 13)
+        # up to twice C(13, 3): triples repeat, and 0 draws none
+        sample_triples = data.draw(st.integers(0, 572), label="sample_triples")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         got = check_metric(m, mode="sampled", sample_triples=sample_triples,
                            seed=seed)
         with np.errstate(over="ignore"):  # the loop's scalar sums overflow
             want = sampled_check_metric(m, sample_triples, seed)
-        assert got.violations == want.violations
-        assert got.triples_checked == want.triples_checked
+        assert got.violations == len(want)
+        assert got.witness == (want[0] if want else None)
+        json.dumps(vars(got))  # plain ints, not numpy scalars
+        checked = sample_triples if m.n >= 3 else 0
+        assert got.triples_checked == checked
+        assert got.fraction_violating == len(want) / max(checked, 1)
 
     def test_overflowing_sums_warn_nothing(self):
         # units of 2.5e307: a sum over 7 units passes the largest float;
@@ -577,9 +590,62 @@ class TestCheckMetric:
             warnings.simplefilter("error")
             exhaustive = check_metric(m, mode="exhaustive")
             sampled = check_metric(m, mode="sampled", sample_triples=200)
-        found = {tuple(sorted(v)) for v in exhaustive.violations}
-        assert sampled.violations
-        assert {tuple(sorted(v)) for v in sampled.violations} <= found
+        with np.errstate(over="ignore"):
+            found = {tuple(sorted(v)) for v in exhaustive_check_metric(m)}
+        assert exhaustive.violations == len(found)
+        assert 0 < sampled.violations <= len(found)
+        assert tuple(sorted(sampled.witness)) in found
+
+    def test_exhaustive_audit_memory(self):
+        # a count and one witness: no per-violation storage, so the peak is
+        # a few n x n temporaries of one middle point (0.5 MB each here)
+        m = random_symmetric(250, seed=4)
+        tracemalloc.start()
+        try:
+            report = check_metric(m, mode="exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.fraction_violating > 0.2
+        assert peak < 8 * 2**20, peak
+
+
+# mutants of the triangle audit, as (old, new) edits of its source
+AUDIT_MUTANTS = {
+    # each violating triple counted at both (i, k) and (k, i)
+    "no-halving": [("violations += int(np.count_nonzero(bad)) // 2",
+                    "violations += int(np.count_nonzero(bad))")],
+    "draws-not-triples": [(
+        "violations = len(np.unique(np.sort(witnesses, axis=1), axis=0))",
+        "violations = len(witnesses)",
+    )],
+    "last-witness": [("if witness is None:", "if True:")],
+}
+
+
+def assert_audit_matches_oracles(audit, m, sample_triples=200, seed=0):
+    """`audit` counts and witnesses what the per-triple loops list."""
+    for mode, want in [
+        ("exhaustive", exhaustive_check_metric(m)),
+        ("sampled", sampled_check_metric(m, sample_triples, seed)),
+    ]:
+        got = audit(m, mode=mode, sample_triples=sample_triples, seed=seed)
+        assert (got.violations, got.witness) == (len(want), want[0]), mode
+
+
+class TestAuditMutants:
+    """Each mutant of the audit makes the gate fail on a committed case: a
+    symmetric 9-point matrix with violations at several middle points,
+    drawn more often than it has triples; the unedited rebuild passes it."""
+
+    def test_rebuilt_audit_passes(self):
+        assert_audit_matches_oracles(rebuilt(check_metric), random_symmetric(9, seed=3))
+
+    @pytest.mark.parametrize("name", AUDIT_MUTANTS)
+    def test_mutant_fails_the_gate(self, name):
+        mutant = rebuilt(check_metric, AUDIT_MUTANTS[name])
+        with pytest.raises(AssertionError):
+            assert_audit_matches_oracles(mutant, random_symmetric(9, seed=3))
 
 
 class TestIngest:

@@ -1,5 +1,4 @@
 import importlib
-import inspect
 import json
 import math
 from importlib import resources
@@ -30,7 +29,7 @@ from landmark_minsum import (
 )
 from landmark_minsum.landmark import _as_clustering, _stream_min_sum
 
-from conftest import criterion_07_case, euclidean_matrix, random_metric
+from conftest import criterion_07_case, euclidean_matrix, random_metric, rebuilt
 from oracles import candidate_sweep, enumerate_thresholds, replay_sweep
 
 
@@ -344,13 +343,7 @@ RESUME_MUTANTS = {
 
 def mutant_kernel(edits):
     """`_stream_min_sum` rebuilt from its source with `edits` applied."""
-    source = inspect.getsource(landmark_module._stream_min_sum)
-    for old, new in edits:
-        assert source.count(old) == 1, old  # the mutant still applies
-        source = source.replace(old, new)
-    namespace = dict(vars(landmark_module))
-    exec(compile(source, "<mutant>", "exec"), namespace)
-    return namespace["_stream_min_sum"]
+    return rebuilt(landmark_module._stream_min_sum, edits)
 
 
 class TestResumeMutants:
