@@ -26,7 +26,6 @@ from .errors import (
     open_output,
 )
 from .evaluation import (
-    DEFAULT_BRUTE_CAP,
     balanced_k_median,
     classify_points,
     clustering_distance,
@@ -291,9 +290,7 @@ def cmd_verify(args) -> dict:
         "violations": metric_report.violations,
     }
     if args.check_stability:
-        verdict = verify_stability(
-            matrix, target, target.k, stability, cap=args.brute_cap
-        )
+        verdict = verify_stability(matrix, target, target.k, stability)
         out["stability_holds"] = verdict.holds
         if not verdict.holds:
             out["stability_counterexample"] = {
@@ -442,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_input(p)
     p.add_argument("--labels", default=None, help="target label CSV")
     p.add_argument("--check-stability", action="store_true")
-    p.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
     _add_stability(p)
     _add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -33,23 +33,23 @@ class InvariantViolation(DataError):
 
 
 def open_input(path, mode: str = "r"):
-    """Open an input file for reading (`mode` "rb" for bytes); one that
-    cannot be opened (missing, a directory, unreadable) or, read as text,
-    cannot be decoded is a DataError naming the path."""
+    """Open an input file for reading (`mode` "rb" for bytes, else UTF-8
+    text); one that cannot be opened (missing, a directory, unreadable) or,
+    read as text, cannot be decoded is a DataError naming the path."""
     return _open(path, mode, "cannot open")
 
 
 def open_output(path, mode: str = "w"):
-    """Open an output file for writing (`mode` "wb" for bytes); one that
-    cannot be created (in a missing directory, a directory, read-only) is a
-    DataError naming the path."""
+    """Open an output file for writing (`mode` "wb" for bytes, else UTF-8
+    text); one that cannot be created (in a missing directory, a directory,
+    read-only) is a DataError naming the path."""
     return _open(path, mode, "cannot write")
 
 
 @contextmanager
 def _open(path, mode: str, failure: str):
     try:
-        fh = open(path, mode)
+        fh = open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise DataError(f"{path}: {failure}: {exc.strerror}") from None
     with fh:

@@ -22,7 +22,9 @@ from .landmark import (
 )
 from .metric import DistanceSource, MetricMatrix
 
-DEFAULT_BRUTE_CAP = 12
+# the most scores the stability walk may hold, 8 bytes each (34 MB): its
+# size at n = k = 12, Bell(12) partitions and 2^12 subsets
+_WALK_LIMIT = 4_213_597 + 2**12
 
 
 @dataclass
@@ -164,6 +166,16 @@ def _grow(rows: np.ndarray, used: np.ndarray, steps: int, k: int):
         rows = np.column_stack([rows[parent], label])
         used = np.maximum(used[parent], label + 1)
     return rows, used
+
+
+def _walk_size(n: int, k: int) -> int:
+    """Entries of the stability walk's two float arrays: the 2^n subset
+    table and one score per partition of range(n) into at most k blocks,
+    the Stirling numbers S(n, j) summed over j <= k."""
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return (1 << n) + sum(row)
 
 
 def partition_chunks(n: int, k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -365,23 +377,27 @@ def verify_stability(
     k: int,
     params: StabilityParams,
     objective: str = "balanced_k_median",
-    cap: int = DEFAULT_BRUTE_CAP,
 ) -> StabilityVerdict:
     """Exhaustively test the approximation-stability implication.
 
     Every clustering within factor (1 + alpha) of the optimum must be
     within distance epsilon of the target; returns the first counterexample
-    otherwise.  Refuses instances above the brute-force cap.
+    otherwise.  Refuses, before building any array, a walk that would hold
+    more than `_WALK_LIMIT` scores.
     """
     n = m.n
-    if n > cap:
-        raise ParameterError(
-            f"stability check refused: n={n} exceeds cap {cap}"
-        )
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if objective not in _OBJECTIVES:
         raise ParameterError(f"unknown objective {objective!r}")
+    # from n = 23 on 2^n alone is past the limit: no partitions are counted
+    size = _walk_size(n, k) if n < _WALK_LIMIT.bit_length() else None
+    if size is None or size > _WALK_LIMIT:
+        raise ParameterError(
+            f"stability check refused: its walk at n={n}, k={k} holds "
+            f"{size or f'more than 2^{n}'} scores, over the limit of "
+            f"{_WALK_LIMIT}"
+        )
     _require_partition(target, m.n)
     score = _OBJECTIVES[objective]
     d = m.values

@@ -8,6 +8,7 @@ Euclidean embedding guarantees the triangle inequality by construction.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -141,23 +142,17 @@ def _place_centers(spec: InstanceSpec, gaps: np.ndarray, rng) -> np.ndarray:
         t = np.zeros(k)
         for i in range(1, k):
             t[i] = t[i - 1] + gaps[i, :i].max()
-        centers = t[:, None]
-        return centers
+        return t[:, None]
     # mid-dimensional fallback: rejection sampling in a growing box
     scale = gaps.max() * k ** (1.0 / dim)
     for attempt in range(200 * k):
         if attempt and attempt % (50 * k) == 0:
             scale *= 1.5
         centers = rng.uniform(0.0, scale, size=(k, dim))
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                if np.linalg.norm(centers[i] - centers[j]) < gaps[i, j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if not any(
+            np.linalg.norm(centers[i] - centers[j]) < gaps[i, j]
+            for i, j in itertools.combinations(range(k), 2)
+        ):
             return centers
     raise GenerationError(
         f"could not separate {k} cores in {dim} dimensions; increase embed_dim"
@@ -186,21 +181,17 @@ def generate(spec: InstanceSpec) -> Instance:
     so the classification thresholds land where the construction expects.
     """
     rng = np.random.default_rng(spec.seed)
-    k = spec.k
     thetas = spec.thetas()
     effective_theta = EFFECTIVE_THETA_FACTOR * max(thetas)
     gaps = _required_center_gaps(spec, effective_theta)
     centers = _place_centers(spec, gaps, rng)
 
-    blocks = []
-    core_members: list[list[int]] = []
-    next_id = 0
-    for i in range(k):
-        radius = thetas[i] / (2.0 * spec.sizes[i])
-        blocks.append(_sample_ball(centers[i], radius, spec.sizes[i], rng))
-        core_members.append(list(range(next_id, next_id + spec.sizes[i])))
-        next_id += spec.sizes[i]
-    core_points = np.vstack(blocks)
+    core_points = np.vstack([
+        _sample_ball(centers[i], thetas[i] / (2.0 * size), size, rng)
+        for i, size in enumerate(spec.sizes)
+    ])
+    ends = itertools.accumulate(spec.sizes)
+    core_members = [list(range(end - size, end)) for end, size in zip(ends, spec.sizes)]
 
     n_bad = int(math.floor(spec.bad_fraction * core_points.shape[0]))
     if n_bad:
@@ -299,14 +290,10 @@ def generate_adversarial(kind: str, n: int, k: int, seed: int = 0) -> Instance:
     base = np.zeros((k, 2))
     base[:, 0] = np.arange(k) * 100.0
     reps = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    points = np.vstack([np.repeat(base[i][None, :], reps[i], axis=0)
-                        for i in range(k)])
+    points = np.repeat(base, reps, axis=0)
     matrix = _euclidean_matrix(points)
-    clusters = []
-    start = 0
-    for r in reps:
-        clusters.append(list(range(start, start + r)))
-        start += r
+    ends = itertools.accumulate(reps)
+    clusters = [list(range(end - r, end)) for end, r in zip(ends, reps)]
     target = Clustering(n=n, clusters=clusters)
     return Instance(matrix, target, clusters, points=points, kind=kind)
 

@@ -51,7 +51,7 @@ from landmark_minsum import (
     clustering_distance,
     min_sum,
 )
-from landmark_minsum.evaluation import DEFAULT_BRUTE_CAP, _require_partition
+from landmark_minsum.evaluation import _require_partition
 from landmark_minsum.landmark import (
     _as_clustering,
     _stream_min_sum,
@@ -489,7 +489,7 @@ def brute_force_optimum(
     m: MetricMatrix,
     k: int,
     objective: str = "balanced_k_median",
-    cap: int = DEFAULT_BRUTE_CAP,
+    cap: int = 12,
 ) -> tuple[Clustering, ObjectiveValue]:
     """Exhaustive global optimum over all partitions into <= k blocks.
 

@@ -516,17 +516,28 @@ class TestVerifyCommand:
         assert "--input" in payload["message"]
         assert "--labels" in payload["message"]
 
-    def test_brute_cap_below_n_is_parameter_error(self, capsys, tmp_path):
-        out = tmp_path / "tiny"
-        save_bundle(generate(InstanceSpec(sizes=(5, 4), theta=1.5, seed=11)), out)
+    def test_stability_at_thirteen_points(self, capsys, tmp_path):
+        # at k = 2 the walk holds 2^13 + 4,096 scores, far below the limit
+        out = tmp_path / "n13"
+        save_bundle(generate(InstanceSpec(sizes=(7, 6), theta=1.5, seed=11)), out)
+        code, stdout, _ = run_cli(
+            capsys, "verify", "--input", str(out), "--check-stability",
+        )
+        assert code == 0
+        assert isinstance(json.loads(stdout)["stability_holds"], bool)
+
+    def test_stability_walk_over_the_limit_is_parameter_error(
+        self, capsys, tmp_path
+    ):
+        out = tmp_path / "n23"
+        save_bundle(generate(InstanceSpec(sizes=(12, 11), theta=1.5, seed=11)), out)
         code, stdout, err = run_cli(
             capsys, "verify", "--input", str(out), "--check-stability",
-            "--brute-cap", "8",
         )
         assert code == 2 and stdout == ""
         payload = json.loads(err)
         assert payload["error"] == "ParameterError"
-        assert "n=9 exceeds cap 8" in payload["message"]
+        assert "n=23, k=2 holds more than 2^23 scores" in payload["message"]
 
     def test_bundle_label_file_missing_point_is_data_error(
         self, capsys, bundle_dir
@@ -833,6 +844,26 @@ class TestIngestCommand:
         )
         assert code == 2
         assert json.loads(err)["error"] == "ParameterError"
+
+    def test_text_is_utf8_under_a_c_locale(self, tmp_path):
+        # without UTF-8 mode, a C locale makes the locale's encoding ASCII
+        tsv = tmp_path / "pairs.tsv"
+        tsv.write_bytes("id_a\tid_b\tbit_score\nés\tb\t50\n".encode())
+        src = os.path.dirname(os.path.dirname(landmark_minsum.__file__))
+        ids = {}
+        for utf8 in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8=utf8,
+                       PYTHONCOERCECLOCALE="0")
+            ids[utf8] = tmp_path / f"ids{utf8}.csv"
+            done = subprocess.run(
+                [sys.executable, "-m", "landmark_minsum.cli", "ingest",
+                 "--input", str(tsv), "--output", str(tmp_path / f"m{utf8}.csv"),
+                 "--ids-output", str(ids[utf8])],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+        assert ids["0"].read_bytes() == ids["1"].read_bytes()
+        assert "és".encode() in ids["0"].read_bytes()
 
     def test_bad_file_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"

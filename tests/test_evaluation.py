@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -395,11 +396,71 @@ class TestVerifyStability:
         params = StabilityParams(alpha=0.5, epsilon=0.999)
         assert verify_stability(m, target, k=2, params=params).holds
 
-    def test_cap_refusal(self):
-        m = random_metric(13, 2, seed=11)
-        target = Clustering(n=13, clusters=[list(range(13))])
-        with pytest.raises(ParameterError):
-            verify_stability(m, target, 2, StabilityParams(1.0, 0.1))
+    def test_walk_size_counts_subsets_and_partitions(self):
+        for n in range(1, 17):
+            for k in range(1, n + 1):
+                size = evaluation._walk_size(n, k)
+                assert size == stirling_partition_count(n, k) + 2**n
+                if n <= 9:
+                    assert size == len(list(partitions_upto_k(n, k))) + 2**n
+
+    def test_every_walk_up_to_twelve_points_fits(self):
+        # the limit is the walk at n = k = 12, the largest one over 12 points
+        assert evaluation._walk_size(12, 12) == evaluation._WALK_LIMIT
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                assert evaluation._walk_size(n, k) <= evaluation._WALK_LIMIT
+        m = random_metric(12, 2, seed=11)
+        target = Clustering(n=12, clusters=[list(range(12))])
+        assert verify_stability(m, target, 12, StabilityParams(1.0, 0.1)).optimum == 0.0
+
+    @pytest.mark.parametrize("n, k, size", [
+        (16, 3, "7239990"),  # 2^16 + S(16, 1) + S(16, 2) + S(16, 3)
+        (23, 2, "more than 2^23"),
+    ], ids=["n16-k3", "n23-k2"])
+    def test_refusal_builds_no_array(self, monkeypatch, n, k, size):
+        m = random_metric(n, 2, seed=11)
+        target = Clustering(n=n, clusters=[list(range(n))])
+        # scoring a subset or generating a partition would fail the test
+        monkeypatch.setitem(evaluation._OBJECTIVES, "balanced_k_median", pytest.fail)
+        monkeypatch.setattr(evaluation, "partition_chunks", pytest.fail)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError) as refused:
+                verify_stability(m, target, k, StabilityParams(1.0, 0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert str(refused.value) == (
+            f"stability check refused: its walk at n={n}, k={k} holds {size} "
+            f"scores, over the limit of {evaluation._WALK_LIMIT}"
+        )
+
+    def test_refusal_at_two_thousand_points_is_immediate(self):
+        m = MetricMatrix(np.zeros((2000, 2000)))
+        target = Clustering(n=2000, clusters=[list(range(2000))])
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="more than 2\\^2000 scores"):
+            verify_stability(m, target, 3, StabilityParams(1.0, 0.1))
+        assert time.perf_counter() - start < 0.01
+
+    @pytest.mark.parametrize("objective", ["min_sum", "balanced_k_median"])
+    def test_infinite_optimum(self, objective):
+        # no finite distance: into k = 2 blocks every partition of 4 points
+        # has a block of two or more, so every score, the optimum and the
+        # limit are +inf, and the walk's first partition is the counterexample
+        values = np.full((4, 4), math.inf)
+        np.fill_diagonal(values, 0.0)
+        target = Clustering(n=4, clusters=[[0, 1], [2, 3]])
+        verdict = verify_stability(
+            MetricMatrix(values), target, 2, StabilityParams(1.0, 0.1), objective
+        )
+        assert verdict.holds is False
+        assert verdict.optimum == math.inf
+        assert verdict.counterexample.clusters == [[0, 1, 2, 3], []]
+        assert verdict.counterexample_value == math.inf
+        assert verdict.counterexample_distance == 0.5
 
 
 def stirling_partition_count(n: int, k: int) -> int:
@@ -505,6 +566,17 @@ class TestSingleWalkMatchesTwoPass:
             target = Clustering(n=8, clusters=[[0, 1, 2, 3], [4, 5, 6, 7]])
             params = StabilityParams(alpha=0.5, epsilon=0.2)
             self.check(m, target, 4, params, objective)
+
+    @pytest.mark.parametrize("objective", ["min_sum", "balanced_k_median"])
+    @pytest.mark.parametrize("sizes", [(7, 6), (7, 7)])
+    def test_thirteen_and_fourteen_points(self, sizes, objective):
+        # at k = 2 both walks fit within the limit
+        inst = generate(InstanceSpec(sizes=sizes, theta=1.5, seed=3))
+        self.check(inst.matrix, inst.target, 2, inst.stability, objective)
+        uniform = generate_adversarial("uniform", n=sum(sizes), k=2)
+        params = StabilityParams(alpha=1.0, epsilon=0.2)
+        got = self.check(uniform.matrix, uniform.target, 2, params, objective)
+        assert not got.holds
 
     def test_uniform_control(self):
         inst = generate_adversarial("uniform", n=9, k=2, seed=0)
