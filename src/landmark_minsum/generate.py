@@ -278,6 +278,11 @@ def generate_adversarial(kind: str, n: int, k: int, seed: int = 0) -> Instance:
         target = Clustering(n=n, clusters=clusters)
         return Instance(matrix, target, clusters, kind=kind)
     if kind == "single_outlier_cluster":
+        # a blob of at least one point and an outlier group of at least two
+        if k != 2 or n < 3:
+            raise ParameterError(
+                f"single_outlier_cluster needs k = 2 and n >= 3, got k={k}, n={n}"
+            )
         m_out = max(2, n // 10)
         blob = rng.normal(0.0, 1.0, size=(n - m_out, 2))
         outliers = rng.normal(0.0, 0.05, size=(m_out, 2)) + np.array([500.0, 0.0])

@@ -3,8 +3,8 @@
 The production path (`cluster_min_sum`) consumes a globally sorted stream of
 (landmark, point, distance) pairs, growing a ball around each landmark and
 extracting a cluster whenever some ball's size times the next pair distance
-exceeds the threshold T.  The stream is sorted lazily, one chunk at a time,
-as far as the run reads it.
+exceeds the threshold T.  The stream is cut lazily, one chunk at a time, as
+far as the run reads it, and a chunk is sorted only if a test in it may fire.
 """
 
 from __future__ import annotations
@@ -105,6 +105,44 @@ _FIRST_CHUNK = 1 << 16
 _MIN_STRETCH = 256
 
 
+class _Chunk:
+    """One chunk of the stream as `LandmarkTable.chunks` cuts it: `cut`
+    holds the flat indices (landmark position * n + point) of its pairs,
+    ascending, and their distances, so the pairs are in (landmark, point)
+    order.  No distance is below `lo`: 0 for the first chunk, the previous
+    chunk's largest distance, which every distance exceeds, for the others.
+
+    As a sequence it is the chunk's (landmark position, point, distance)
+    columns in stream order, as memoryviews.  The first read sorts the
+    chunk and drops `cut`, so the chunk is held in one form at a time.  A
+    run that proves no test in the chunk can fire reads `cut` instead and
+    never sorts it.
+    """
+
+    __slots__ = ("cut", "lo", "_n", "_columns")
+
+    def __init__(self, idx: np.ndarray, dist: np.ndarray, n: int, lo: float):
+        self.cut, self.lo, self._n, self._columns = (idx, dist), lo, n, None
+
+    def __getitem__(self, key):
+        if self._columns is None:
+            self._sort()
+        return self._columns[key]
+
+    def _sort(self) -> None:
+        # a stable sort on distance of pairs in (landmark, point) order
+        # gives the stream's (distance, landmark, point) order; the cut is
+        # dropped first, so only this frame holds it while it is replaced
+        (idx, dist), self.cut = self.cut, None
+        order = np.argsort(dist, kind="stable")
+        dist = dist[order]
+        idx = idx[order]
+        del order
+        landmark, point = np.divmod(idx, self._n)
+        del idx
+        self._columns = tuple(map(memoryview, (landmark, point, dist)))
+
+
 @dataclass(frozen=True, eq=False)
 class LandmarkTable:
     """The n' queried landmark distance rows: `rows[j, p]` is the distance
@@ -112,8 +150,9 @@ class LandmarkTable:
 
     A run reads the finite (landmark position, point, distance) pairs in
     (distance, landmark position, point) order.  That stream is not stored:
-    `chunks()` sorts it from `rows` one tie-complete chunk at a time, so a
-    run that stops early sorts only the prefix it reached.
+    `chunks()` cuts it from `rows` one tie-complete chunk at a time, and a
+    chunk is sorted only when a run reads its order, so a run that stops
+    early, or proves a chunk quiet, sorts only the chunks it needs.
     """
 
     landmark_ids: list[int]
@@ -125,8 +164,9 @@ class LandmarkTable:
         return len(self.landmark_ids)
 
     def chunks(self):
-        """Yield the finite pair stream as consecutive chunks of
-        (landmark position, point, distance) columns, as memoryviews.
+        """Yield the finite pair stream as consecutive chunks, each a
+        sequence of its (landmark position, point, distance) columns, as
+        memoryviews, sorted on first read (`_Chunk`).
 
         Each chunk holds every pair with lo < d <= hi, where lo is the
         previous chunk's hi: no tie is split between two chunks, so the
@@ -152,20 +192,17 @@ class LandmarkTable:
             if lo is not None:
                 keep &= d > lo
             # the frame outlives each yield: free the mask and the indices
-            # before it, so a run holds only the chunk's three columns
+            # before it, so only the chunk holds its pairs
             idx = np.flatnonzero(keep)
             del keep
-            dist = d[idx]
-            order = np.argsort(dist, kind="stable")
-            dist = dist[order]
-            landmark, point = np.divmod(idx[order], self.n)
-            del idx, order
-            if dist.size:
-                yield memoryview(landmark), memoryview(point), memoryview(dist)
+            taken += idx.size
+            if idx.size:
+                chunk = _Chunk(idx, d[idx], self.n, 0.0 if lo is None else lo)
+                del idx
+                yield chunk
             if last:
                 return
             lo = sample[j]
-            taken += dist.size
             size *= 2
 
 
@@ -310,9 +347,12 @@ def cluster_min_sum(table: LandmarkTable, k: int, threshold: float) -> Clusterin
     under a warning.
 
     The run pulls the stream's chunks from `table.chunks()` as it reaches
-    them, so it sorts only the chunks up to the pair where it stops.  It
-    inserts quiet stretches of a chunk in bulk: between two extractions
-    ball sizes only grow and distances never fall, so no test in a stretch
+    them, so it cuts only the chunks up to the pair where it stops, and it
+    sorts only those in which a test may fire.  Between two extractions
+    ball sizes only grow and distances never fall, so no test in a chunk
+    fires if the largest ball the chunk can grow, times its largest live
+    distance, is at most T; such a chunk goes in unsorted.  In a sorted
+    chunk the run inserts quiet stretches in bulk: no test in a stretch
     fires if the test at its last live pair, with the sizes before that
     pair's insertion, does not.
     """
@@ -355,14 +395,25 @@ def _stream_min_sum(
     Its one liveness set is the clustered points: a pair is live while
     neither its point nor its landmark's point is clustered.
     `chunks` yields the stream's chunks in order, each as its (landmark
-    position, point, distance) columns: `table.chunks()`, whose memoryviews
-    are read in place, or those columns as Python lists, converted once by
+    position, point, distance) columns: `table.chunks()`, whose `_Chunk`s
+    are sorted only if the run reads their order and whose memoryviews are
+    read in place, or those columns as Python lists, converted once by
     a caller making many runs, optionally followed by the three memoryviews
     they came from.  The next chunk is pulled only once the run has read
     every pair of the one before.  The run
     depends on T only through its tests `max_size * r > T`, so every
     threshold in [T, smallest fired product) gives the same run; the
     product is +inf when no test fired.
+
+    Quiet chunks go in unsorted.  Before a `_Chunk` is sorted, the run
+    counts its live pairs per landmark.  If the largest of sizes + counts,
+    times the chunk's largest live distance, is at most T, no test in the
+    chunk fires: the run inserts its live pairs as cut, grouped by
+    landmark, and sets `last` to that distance, the last one's in stream
+    order.  The run sorts the chunk without counting when the test at the
+    current largest ball and the chunk's lower edge `lo` fires, since the
+    bound cannot hold then.  A chunk never extracts where it goes in
+    unsorted, so saved states are those of the pair-by-pair run.
 
     Quiet stretches go in bulk.  Between two extractions ball sizes only
     grow and distances never fall, so no test in a stretch of the stream
@@ -398,19 +449,41 @@ def _stream_min_sum(
     # last: distance of the last inserted pair; None after an extraction
     first, offset, clustered, balls, sizes, clusters, fired, last = start
     max_size = max(sizes)
-    dead = None  # the clustered points as a mask, built when a stretch needs it
+    dead = None  # the clustered points as a mask, built when bulk work needs it
     ints = None  # the points as Python ints, one object per point for all balls
     for ci, c in enumerate(chunks, first):
+        pos, offset = offset, 0
+        if type(c) is _Chunk and c.cut and not pos and max_size * c.lo <= T:
+            # the chunk as cut: its live pairs come grouped by landmark
+            land, point = np.divmod(c.cut[0], n)
+            live_dist = c.cut[1]
+            if clustered:
+                if dead is None:
+                    dead, dead_landmark = _dead_mask(n, clustered, lid)
+                live = np.flatnonzero(~(dead[point] | dead_landmark[land]))
+                land, point, live_dist = land[live], point[live], live_dist[live]
+                del live
+            if not land.size:
+                continue  # every pair is dead: nothing to test or insert
+            top = live_dist.max()
+            counts = np.bincount(land, minlength=len(lid))
+            del land, live_dist
+            if (counts + sizes).max() * top <= T:
+                if ints is None:
+                    ints = np.arange(n).astype(object)
+                point = ints[point]  # frees the int column before the sets grow
+                sizes = _insert(balls, point, counts)
+                max_size = max(sizes)
+                last = top
+                continue
+            del point  # before the chunk is sorted
         dist = c[2]
         m = len(dist)
-        pos, offset = offset, 0
         if max_size * dist[min(m, pos + _MIN_STRETCH) - 1] <= T:
             # the memoryviews beside a sweep's lists, or the columns themselves
             land_col, point_col = map(np.asarray, (c[3:] or c)[:2])
             if dead is None and clustered:
-                dead = np.zeros(n, dtype=bool)
-                dead[np.fromiter(clustered, np.intp, len(clustered))] = True
-                dead_landmark = dead[lid]
+                dead, dead_landmark = _dead_mask(n, clustered, lid)
             step, grow = _MIN_STRETCH, True
             while step >= _MIN_STRETCH and pos < m:
                 q = min(m, pos + step)
@@ -432,10 +505,7 @@ def _stream_min_sum(
                         continue
                     if ints is None:
                         ints = np.arange(n).astype(object)
-                    groups = np.split(ints[point[np.argsort(land)]], np.cumsum(counts)[:-1])
-                    for ball, group in zip(balls, groups):
-                        ball.update(group.tolist())
-                    sizes = list(map(len, balls))
+                    sizes = _insert(balls, ints[point[np.argsort(land)]], counts)
                     max_size = max(sizes)
                     last = r
                 pos = q
@@ -492,6 +562,23 @@ def _stream_min_sum(
     # the finite stream ran out first: the points left form one cluster
     clusters.append([s for s in range(n) if s not in clustered])
     return clusters, fired
+
+
+def _dead_mask(n: int, clustered: set[int], lid: list[int]):
+    """The clustered points as a length-n mask, and that mask at the
+    landmarks' points."""
+    dead = np.zeros(n, dtype=bool)
+    dead[np.fromiter(clustered, np.intp, len(clustered))] = True
+    return dead, dead[lid]
+
+
+def _insert(balls: list[set[int]], points: np.ndarray, counts) -> list[int]:
+    """Add the first counts[0] of `points` to ball 0, the next counts[1] to
+    ball 1 and so on, and return the balls' sizes.  `points` holds Python
+    ints, one object per point shared by all balls."""
+    for ball, group in zip(balls, np.split(points, np.cumsum(counts)[:-1])):
+        ball.update(group.tolist())
+    return list(map(len, balls))
 
 
 def _as_clustering(table: LandmarkTable, k: int, clusters: list) -> Clustering:

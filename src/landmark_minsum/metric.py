@@ -129,19 +129,27 @@ def euclidean_rows(points: np.ndarray, rows: slice) -> np.ndarray:
     generated matrix bit for bit.  (One-shot `einsum` or
     `(diff * diff).sum(-1)` reductions reorder the additions and change
     the last bits from about 8 coordinates on.)
+
+    The points are read a tile at a time, each tile's coordinates about
+    1 MB, so a tile stays in cache across its coordinate passes instead of
+    every pass striding through the whole array.
     """
     chosen = points[rows]
-    acc = np.zeros((chosen.shape[0], points.shape[0]))
+    n, dim = points.shape
+    acc = np.zeros((chosen.shape[0], n))
     # the scratch buffer holds a block of rows, so the result is the one
     # large allocation
-    step = max(1, _SCRATCH_ENTRIES // max(1, points.shape[0]))
-    tmp = np.empty((min(step, chosen.shape[0]), points.shape[0]))
+    step = max(1, _SCRATCH_ENTRIES // max(1, n))
+    tile = max(1, _SCRATCH_ENTRIES // (2 * max(1, dim)))
+    tmp = np.empty((min(step, chosen.shape[0]), n))
     for lo in range(0, chosen.shape[0], step):
-        block = acc[lo:lo + step]
-        scratch = tmp[:block.shape[0]]
-        for c, mine in zip(points.T, chosen[lo:lo + step].T):
-            np.subtract(mine[:, None], c[None, :], out=scratch)
-            block += np.square(scratch, out=scratch)
+        mine = chosen[lo:lo + step].T
+        for left in range(0, n, tile):
+            block = acc[lo:lo + step, left:left + tile]
+            scratch = tmp[:block.shape[0], :block.shape[1]]
+            for c, x in zip(points[left:left + tile].T, mine):
+                np.subtract(x[:, None], c[None, :], out=scratch)
+                block += np.square(scratch, out=scratch)
     return np.sqrt(acc, out=acc)
 
 

@@ -226,6 +226,16 @@ class TestAdversarial:
         res = sweep(table, 2, stop_bound_b=3)
         res.clustering.validate()
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (30, 3), (2, 2)])
+    def test_outlier_cluster_needs_two_clusters_of_three_points(self, n, k):
+        # a blob of at least one point and an outlier group of at least two
+        with pytest.raises(ParameterError, match="k = 2 and n >= 3"):
+            generate_adversarial("single_outlier_cluster", n=n, k=k, seed=0)
+
+    def test_outlier_cluster_smallest_case(self):
+        inst = generate_adversarial("single_outlier_cluster", n=3, k=2, seed=0)
+        assert inst.target.clusters == [[0], [1, 2]]
+
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             generate_adversarial("nonsense", 5, 2, 0)

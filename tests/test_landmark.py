@@ -34,10 +34,12 @@ from landmark_minsum import (
 from landmark_minsum.landmark import (
     LandmarkTable,
     _as_clustering,
+    _Chunk,
     _stream_min_sum,
 )
 
 from conftest import (
+    assert_saves_match_sorted,
     criterion_07_case,
     euclidean_matrix,
     random_metric,
@@ -459,14 +461,16 @@ class TestMatchesLoopOracle:
     @given(stream_cases(), st.integers(1, 7))
     @settings(max_examples=300, deadline=None)
     def test_small_adversarial_tables(self, case, tiny):
-        # both stream forms, the views a single run reads in place and the
-        # lists a sweep converts once, cut at the default chunk size and at
-        # a tiny one that puts chunk edges inside the run
+        # every stream form: the chunks a single run takes unsorted where
+        # no test can fire, those chunks sorted, as views read in place, and
+        # the lists a sweep converts once; cut at the default chunk size and
+        # at a tiny one that puts chunk edges inside the run
         table, k, t = case
         ref, ref_fired = loop_stream_min_sum(table, k, t)
         for first in (landmark_module._FIRST_CHUNK, tiny):
             with mock.patch.object(landmark_module, "_FIRST_CHUNK", first):
                 for chunks in (table.chunks(),
+                               (tuple(c) for c in table.chunks()),
                                ([col.tolist() for col in c]
                                 for c in table.chunks())):
                     clusters, fired = _stream_min_sum(table, k, t, chunks)
@@ -528,19 +532,23 @@ class TestMatchesLoopOracle:
 def assert_bulk_matches_loop(table, k, t, least, first):
     """`_stream_min_sum`, with stretches from `least` pairs and a first chunk
     of about `first` pairs, equals `oracles.loop_stream_min_sum` in clusters
-    and fired product, on each chunk form: the memoryviews a single run
-    reads, the lists a caller converts, and those lists with the
-    memoryviews beside them, as `sweep` keeps them."""
+    and fired product, on each chunk form: the chunks a single run takes
+    unsorted where no test can fire, those chunks sorted, as memoryviews,
+    the lists a caller converts, and those lists with the memoryviews
+    beside them, as `sweep` keeps them.  The run that takes chunks unsorted
+    saves the states of the run that sorts them all."""
     ref, ref_fired = loop_stream_min_sum(table, k, t)
     with mock.patch.object(landmark_module, "_MIN_STRETCH", least), \
             mock.patch.object(landmark_module, "_FIRST_CHUNK", first):
         for chunks in (table.chunks(),
+                       (tuple(c) for c in table.chunks()),
                        ([col.tolist() for col in c] for c in table.chunks()),
                        ([col.tolist() for col in c] + [*c]
                         for c in table.chunks())):
             clusters, fired = _stream_min_sum(table, k, t, chunks)
             assert _as_clustering(table, k, clusters).to_dict() == ref.to_dict()
             assert fired == ref_fired
+        assert_saves_match_sorted(_stream_min_sum, table, k, t)
 
 
 # (points on a line or grid, landmark points, k, T, whether a stretch
@@ -585,6 +593,79 @@ class TestBulkStretches:
                     assert_bulk_matches_loop(table, k, t, least, first)
         assert inserted.called  # some stretch went in bulk
         assert mask.called or not masked
+
+
+class TestChunkSorts:
+    """Work-count guards for the quiet chunks a run takes unsorted: a run
+    sorts a chunk only where a test in it may fire, and never holds a chunk
+    sorted and unsorted at once."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        n = 5_000  # 80k pairs, in five chunks from a first one of 4,096 pairs
+        pts = np.random.default_rng(23).uniform(0, 100, size=(n, 4))
+        return build_landmark_table(PointCloudDistanceSource(pts),
+                                    sample_landmarks(n, 16, seed=23))
+
+    @pytest.fixture(autouse=True)
+    def first_chunk(self, monkeypatch):
+        monkeypatch.setattr(landmark_module, "_FIRST_CHUNK", 4_096)
+
+    @staticmethod
+    def sorted_by_run(table, k, t):
+        """The `lo` of each chunk that `cluster_min_sum(table, k, t)` sorts,
+        in order, and the run's clustering."""
+        sorted_lo = []
+        sort = _Chunk._sort
+
+        def counted(chunk):
+            sorted_lo.append(chunk.lo)
+            sort(chunk)
+
+        with mock.patch.object(_Chunk, "_sort", counted):
+            run = cluster_min_sum(table, k, t)
+        return sorted_lo, run
+
+    def test_a_run_in_which_nothing_fires_sorts_no_chunk(self, table):
+        assert len(list(table.chunks())) == 5
+        sorted_lo, run = self.sorted_by_run(table, 8, 1e30)
+        assert sorted_lo == []
+        assert run.clusters[0] == list(range(table.n))
+
+    @pytest.mark.parametrize("t, first", [(2e4, 1), (8e4, 2), (3.2e5, 3)])
+    def test_a_run_sorts_from_its_first_extraction_on(self, table, t, first):
+        # the chunk of the first extraction, from the state saved before it
+        saves = []
+        _stream_min_sum(table, 8, t, ([col.tolist() for col in c]
+                                      for c in table.chunks()), None, saves)
+        assert saves[0].chunk == first
+        edges = [c.lo for c in table.chunks()]
+        sorted_lo, run = self.sorted_by_run(table, 8, t)
+        assert sorted_lo[0] == edges[first]
+        assert set(sorted_lo) <= set(edges[first:])
+        ref = _as_clustering(table, 8, _stream_min_sum(
+            table, 8, t, (tuple(c) for c in table.chunks()))[0])
+        assert run.to_dict() == ref.to_dict()
+
+    def test_a_chunk_is_held_in_one_form(self, monkeypatch):
+        # one chunk of 200k pairs that fails the bound: the run counts its
+        # live pairs as cut, then sorts it, at a peak of 32 bytes a pair;
+        # holding the cut, or the columns counted from it, beside the
+        # sorted columns raises that to 48
+        n = 10_000
+        pts = np.random.default_rng(24).uniform(0, 100, size=(n, 4))
+        table = build_landmark_table(PointCloudDistanceSource(pts),
+                                     sample_landmarks(n, 20, seed=24))
+        monkeypatch.setattr(landmark_module, "_FIRST_CHUNK", 1 << 20)
+        assert len(list(table.chunks())) == 1
+        tracemalloc.start()
+        try:
+            clusters, _ = _stream_min_sum(table, 3, 1.0, table.chunks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clusters) == 3
+        assert peak < 40 * table.rows.size, peak / table.rows.size
 
 
 class TestStreamReadInPlace:

@@ -171,6 +171,28 @@ class TestEuclideanRows:
         assert np.array_equal(euclidean_rows(points, slice(None)), whole)
         assert np.array_equal(euclidean_rows(points, slice(5, 30)), whole[5:30])
 
+    def test_tiles_of_points_give_the_same_bits(self, monkeypatch):
+        points = np.random.default_rng(22).standard_normal((50, 9)) * 100.0
+        whole = euclidean_rows(points, slice(None))  # one tile, one block
+        assert whole.tobytes() == squareform(pdist(points)).tobytes()
+        # tiles of 7 points (2 * 9 * 7 <= 131 < 2 * 9 * 8), the last one
+        # a single point, in blocks of 2 rows
+        monkeypatch.setattr(metric_module, "_SCRATCH_ENTRIES", 2 * 9 * 7 + 5)
+        assert euclidean_rows(points, slice(None)).tobytes() == whole.tobytes()
+        for rows in (slice(5, 30), slice(49, 50), slice(0, 1)):
+            assert euclidean_rows(points, rows).tobytes() == whole[rows].tobytes()
+        src = PointCloudDistanceSource(points)
+        for s in range(50):
+            assert src.query_one_vs_all(s).tobytes() == whole[s].tobytes()
+
+    def test_point_cloud_rows_span_tiles(self):
+        # at dim 130 a tile holds 1,008 points, so n = 1,100 spans two
+        points = np.random.default_rng(23).standard_normal((1_100, 130))
+        whole = euclidean_rows(points, slice(None))
+        src = PointCloudDistanceSource(points)
+        for s in (0, 550, 1_007, 1_008, 1_099):
+            assert src.query_one_vs_all(s).tobytes() == whole[s].tobytes()
+
     @pytest.mark.parametrize("sizes", [(20, 15), (10,) * 9, (8,) * 12])
     def test_point_cloud_rows_equal_generated_matrix(self, sizes):
         # generate embeds in max(2, k) dimensions; a reordered sum of the

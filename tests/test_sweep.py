@@ -16,6 +16,7 @@ from landmark_minsum import (
     MetricMatrix,
     ParameterError,
     StabilityParams,
+    assign_remainder,
     build_landmark_table,
     cluster_min_sum,
     generate,
@@ -29,8 +30,19 @@ from landmark_minsum import (
 )
 from landmark_minsum.landmark import _as_clustering, _stream_min_sum
 
-from conftest import criterion_07_case, euclidean_matrix, random_metric, rebuilt
-from oracles import candidate_sweep, enumerate_thresholds, replay_sweep
+from conftest import (
+    assert_saves_match_sorted,
+    criterion_07_case,
+    euclidean_matrix,
+    random_metric,
+    rebuilt,
+)
+from oracles import (
+    candidate_sweep,
+    enumerate_thresholds,
+    loop_stream_min_sum,
+    replay_sweep,
+)
 
 
 landmark_module = importlib.import_module("landmark_minsum.landmark")
@@ -51,9 +63,10 @@ def small_verified_instance(seed=0, bad_fraction=0.0):
 def assert_matches_oracle(table, k, b):
     """The resuming walk gives the replaying walk's result byte for byte,
     also with a tiny first chunk, which puts chunk edges inside the runs
-    and so resume points on them.  It stops where the candidate-by-candidate
-    walk stops, with the same clustering, and runs only thresholds that
-    walk runs."""
+    and so resume points on them.  There a single run at the chosen
+    threshold, which takes quiet chunks unsorted, gives the winner.  The
+    walk stops where the candidate-by-candidate walk stops, with the same
+    clustering, and runs only thresholds that walk runs."""
     try:
         ref = candidate_sweep(table, k, b)
     except DataError:
@@ -65,7 +78,10 @@ def assert_matches_oracle(table, k, b):
     assert json.dumps(res.to_dict()) == replayed
     with mock.patch.object(landmark_module, "_FIRST_CHUNK", 3):
         tiny = sweep(table, k, b)
+        run = cluster_min_sum(table, k, tiny.chosen_threshold)
     assert json.dumps(tiny.to_dict()) == replayed
+    assert run.points_clustered() == tiny.points_clustered_at_stop
+    assert assign_remainder(run, table).to_dict() == tiny.clustering.to_dict()
     assert res.chosen_threshold == ref.chosen_threshold
     assert res.clustering.clusters == ref.clustering.clusters
     assert res.clustering.unassigned == ref.clustering.unassigned
@@ -414,3 +430,55 @@ class TestBulkMutants:
         self.use(BULK_MUTANTS[name], monkeypatch)
         with pytest.raises(AssertionError):
             assert_matches_oracle(*BULK_MUTANT_CASES[name]())
+
+
+def quiet_chunk_case():
+    """A chunk that must be sorted after one that goes in unsorted.  Point
+    0 is the one landmark and points 1, 2 and 3 lie at distances 1, 2 and
+    10 from it.  With a first chunk of 2 pairs the run at T = 3.5 inserts
+    the pairs at 0 and 1 unsorted (2 * 1 <= 3.5), then fires at the first
+    pair of the next chunk (2 * 2 > 3.5), with `last` = 1.  With one chunk
+    the bound fails (4 * 10 > 3.5), though the test at the current largest
+    ball (0 * 10) and the bound at the smallest distance (4 * 0) pass."""
+    return table_for(euclidean_matrix([0, 1, 2, 10]), [0]), 1, 3.5
+
+
+def assert_chunks_match(kernel, table, k, t):
+    """Gate for the quiet chunks a single run takes unsorted: with first
+    chunks of 1-8 pairs and the default, `kernel` over `table.chunks()`
+    gives `oracles.loop_stream_min_sum`'s clusters and fired product, and
+    saves the states of the run that sorts every chunk."""
+    ref, ref_fired = loop_stream_min_sum(table, k, t)
+    for first in (*range(1, 9), landmark_module._FIRST_CHUNK):
+        with mock.patch.object(landmark_module, "_FIRST_CHUNK", first):
+            clusters, fired = kernel(table, k, t, table.chunks())
+            assert _as_clustering(table, k, clusters).to_dict() == ref.to_dict()
+            assert fired == ref_fired
+            assert_saves_match_sorted(kernel, table, k, t)
+
+
+# mutants of the chunk-level bound, as (old, new) edits of the kernel's source
+CHUNK_MUTANTS = {
+    "smallest-live-distance": [("top = live_dist.max()", "top = live_dist.min()")],
+    # the bound at the current largest ball, not at the sizes the chunk
+    # grows the balls to
+    "current-max-size": [("if (counts + sizes).max() * top <= T:",
+                          "if max_size * top <= T:")],
+    # `last` left as before the chunk: no later test changes, since chunks
+    # are tie-complete, but the states saved from then on differ
+    "stale-last": [("                last = top\n", "")],
+}
+
+
+class TestChunkMutants:
+    """Each mutant of the chunk-level bound makes the gate fail on a
+    committed case; the unedited rebuild passes it."""
+
+    def test_rebuilt_kernel_passes(self):
+        assert_chunks_match(mutant_kernel([]), *quiet_chunk_case())
+
+    @pytest.mark.parametrize("name", CHUNK_MUTANTS)
+    def test_mutant_fails_the_gate(self, name):
+        kernel = mutant_kernel(CHUNK_MUTANTS[name])
+        with pytest.raises(AssertionError):
+            assert_chunks_match(kernel, *quiet_chunk_case())
