@@ -4,7 +4,8 @@ The production path (`cluster_min_sum`) consumes a globally sorted stream of
 (landmark, point, distance) pairs, growing a ball around each landmark and
 extracting a cluster whenever some ball's size times the next pair distance
 exceeds the threshold T.  The stream is cut lazily, one chunk at a time, as
-far as the run reads it, and a chunk is sorted only if a test in it may fire.
+far as the run reads it, and only the parts of a chunk in which a test may
+fire are sorted.
 """
 
 from __future__ import annotations
@@ -101,19 +102,19 @@ def sample_landmarks(n: int, n_prime: int, seed: int) -> list[int]:
 
 # pairs in the stream's first chunk; each later chunk targets twice as many
 _FIRST_CHUNK = 1 << 16
-# pairs in the shortest stretch of the stream that a run inserts in bulk
-_MIN_STRETCH = 256
+# pairs in the largest chunk that a single run sorts whole; it splits larger ones
+_LEAF = 4096
 
 
 class _Chunk:
-    """One chunk of the stream as `LandmarkTable.chunks` cuts it: `cut`
-    holds the flat indices (landmark position * n + point) of its pairs,
-    ascending, and their distances, so the pairs are in (landmark, point)
-    order.  No distance is below `lo`: 0 for the first chunk, the previous
-    chunk's largest distance, which every distance exceeds, for the others.
+    """One tie-complete part of the stream, as `LandmarkTable.chunks` cuts
+    it or `split` halves it: `cut` holds the flat indices (landmark
+    position * n + point) of its pairs, ascending, and their distances, so
+    the pairs are in (landmark, point) order.  No distance is below `lo`,
+    and no pair before the chunk in the stream is above it.
 
     As a sequence it is the chunk's (landmark position, point, distance)
-    columns in stream order, as memoryviews.  The first read sorts the
+    columns in stream order, as Python lists.  The first read sorts the
     chunk and drops `cut`, so the chunk is held in one form at a time.  A
     run that proves no test in the chunk can fire reads `cut` instead and
     never sorts it.
@@ -140,7 +141,24 @@ class _Chunk:
         del order
         landmark, point = np.divmod(idx, self._n)
         del idx
-        self._columns = tuple(map(memoryview, (landmark, point, dist)))
+        self._columns = (landmark.tolist(), point.tolist(), dist.tolist())
+
+    def split(self):
+        """The chunk as two tie-complete chunks in stream order, cut at a
+        distance v near the median: the lower one holds the pairs with
+        d <= v, or d < v when that would be every pair.  None when every
+        distance is equal.  Drops `cut`, as a sort does."""
+        idx, dist = self.cut
+        v = np.partition(dist, dist.size // 2)[dist.size // 2]
+        low = dist <= v
+        if low.all():
+            np.less(dist, v, out=low)
+            if not low.any():
+                return None
+        self.cut = None
+        high = ~low
+        return (_Chunk(idx[low], dist[low], self._n, self.lo),
+                _Chunk(idx[high], dist[high], self._n, v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +170,7 @@ class LandmarkTable:
     (distance, landmark position, point) order.  That stream is not stored:
     `chunks()` cuts it from `rows` one tie-complete chunk at a time, and a
     chunk is sorted only when a run reads its order, so a run that stops
-    early, or proves a chunk quiet, sorts only the chunks it needs.
+    early, or proves a chunk or part of one quiet, sorts only what it needs.
     """
 
     landmark_ids: list[int]
@@ -166,7 +184,7 @@ class LandmarkTable:
     def chunks(self):
         """Yield the finite pair stream as consecutive chunks, each a
         sequence of its (landmark position, point, distance) columns, as
-        memoryviews, sorted on first read (`_Chunk`).
+        Python lists, sorted on first read (`_Chunk`).
 
         Each chunk holds every pair with lo < d <= hi, where lo is the
         previous chunk's hi: no tie is split between two chunks, so the
@@ -347,14 +365,13 @@ def cluster_min_sum(table: LandmarkTable, k: int, threshold: float) -> Clusterin
     under a warning.
 
     The run pulls the stream's chunks from `table.chunks()` as it reaches
-    them, so it cuts only the chunks up to the pair where it stops, and it
-    sorts only those in which a test may fire.  Between two extractions
-    ball sizes only grow and distances never fall, so no test in a chunk
-    fires if the largest ball the chunk can grow, times its largest live
-    distance, is at most T; such a chunk goes in unsorted.  In a sorted
-    chunk the run inserts quiet stretches in bulk: no test in a stretch
-    fires if the test at its last live pair, with the sizes before that
-    pair's insertion, does not.
+    them, so it cuts only the chunks up to the pair where it stops.
+    Between two extractions ball sizes only grow and distances never fall,
+    so no test in a chunk fires if the largest ball the chunk can grow,
+    times its largest live distance, is at most T; such a chunk goes in
+    unsorted.  A larger chunk that fails this bound is split in two by
+    distance and each half is tried in turn, so the run sorts only small
+    pieces around its extractions.
     """
     clusters, _ = _stream_min_sum(table, k, threshold, table.chunks())
     return _as_clustering(table, k, clusters)
@@ -396,12 +413,10 @@ def _stream_min_sum(
     neither its point nor its landmark's point is clustered.
     `chunks` yields the stream's chunks in order, each as its (landmark
     position, point, distance) columns: `table.chunks()`, whose `_Chunk`s
-    are sorted only if the run reads their order and whose memoryviews are
-    read in place, or those columns as Python lists, converted once by
-    a caller making many runs, optionally followed by the three memoryviews
-    they came from.  The next chunk is pulled only once the run has read
-    every pair of the one before.  The run
-    depends on T only through its tests `max_size * r > T`, so every
+    the run may take unsorted or split, or those columns as Python lists,
+    sorted whole once by a caller making many runs.  The next chunk is
+    pulled only once the run has read every pair of the one before.  The
+    run depends on T only through its tests `max_size * r > T`, so every
     threshold in [T, smallest fired product) gives the same run; the
     product is +inf when no test fired.
 
@@ -409,25 +424,19 @@ def _stream_min_sum(
     counts its live pairs per landmark.  If the largest of sizes + counts,
     times the chunk's largest live distance, is at most T, no test in the
     chunk fires: the run inserts its live pairs as cut, grouped by
-    landmark, and sets `last` to that distance, the last one's in stream
-    order.  The run sorts the chunk without counting when the test at the
-    current largest ball and the chunk's lower edge `lo` fires, since the
-    bound cannot hold then.  A chunk never extracts where it goes in
-    unsorted, so saved states are those of the pair-by-pair run.
+    landmark and as one shared int object per point, and sets `last` to
+    that distance, the last one's in stream order.  The run skips the count
+    when the test at the current largest ball and the chunk's lower edge
+    `lo` fires, since the bound cannot hold then.  A chunk never extracts
+    where it goes in unsorted, so saved states are those of the
+    pair-by-pair run.
 
-    Quiet stretches go in bulk.  Between two extractions ball sizes only
-    grow and distances never fall, so no test in a stretch of the stream
-    fires if the test at its last live pair, with the sizes before that
-    pair's insertion, does not.  Where that bound holds, the run inserts
-    the stretch's live pairs with numpy, grouped by landmark and as one
-    shared int object per point, and sets `last` to the last one's
-    distance; a stretch never extracts, so saved states and their offsets
-    are those of the pair-by-pair run.  The run
-    tries at the start of each chunk (or at the state it resumes from)
-    once the test at the current largest ball passes `_MIN_STRETCH` pairs
-    on: a stretch doubles while the bound holds, then halves down to
-    `_MIN_STRETCH` pairs.  The pair-by-pair loop reads the rest of the
-    chunk.  Trying again after each extraction measured slower.
+    A `_Chunk` of more than `_LEAF` pairs that fails the bound is split by
+    distance near its median (`_Chunk.split`), and the run reads the two
+    halves as chunks of their own, the lower one first.  So it sorts only
+    pieces of at most `_LEAF` pairs, or of one distance, and takes the
+    quiet pieces between its extractions unsorted.  A saved offset then
+    points into a piece, not into the chunk.
 
     With `saves` a list, the run appends its state before each record-low
     extraction, one whose product is below every product fired before it
@@ -436,7 +445,8 @@ def _stream_min_sum(
     equal to its extraction's product, is the run at that threshold: every
     earlier test has the same outcome there, and this one does not fire.
     `chunks` then yields the stream from the state's chunk on.  Both need
-    the chunks as lists; the run takes the state over and changes it.
+    the chunks as a caller's lists; the run takes the state over and
+    changes it.
     """
     n = table.n
     _validate_run(n, k, threshold)
@@ -453,111 +463,86 @@ def _stream_min_sum(
     ints = None  # the points as Python ints, one object per point for all balls
     for ci, c in enumerate(chunks, first):
         pos, offset = offset, 0
-        if type(c) is _Chunk and c.cut and not pos and max_size * c.lo <= T:
-            # the chunk as cut: its live pairs come grouped by landmark
-            land, point = np.divmod(c.cut[0], n)
-            live_dist = c.cut[1]
-            if clustered:
-                if dead is None:
-                    dead, dead_landmark = _dead_mask(n, clustered, lid)
-                live = np.flatnonzero(~(dead[point] | dead_landmark[land]))
-                land, point, live_dist = land[live], point[live], live_dist[live]
-                del live
-            if not land.size:
-                continue  # every pair is dead: nothing to test or insert
-            top = live_dist.max()
-            counts = np.bincount(land, minlength=len(lid))
-            del land, live_dist
-            if (counts + sizes).max() * top <= T:
-                if ints is None:
-                    ints = np.arange(n).astype(object)
-                point = ints[point]  # frees the int column before the sets grow
-                sizes = _insert(balls, point, counts)
-                max_size = max(sizes)
-                last = top
-                continue
-            del point  # before the chunk is sorted
-        dist = c[2]
-        m = len(dist)
-        if max_size * dist[min(m, pos + _MIN_STRETCH) - 1] <= T:
-            # the memoryviews beside a sweep's lists, or the columns themselves
-            land_col, point_col = map(np.asarray, (c[3:] or c)[:2])
-            if dead is None and clustered:
-                dead, dead_landmark = _dead_mask(n, clustered, lid)
-            step, grow = _MIN_STRETCH, True
-            while step >= _MIN_STRETCH and pos < m:
-                q = min(m, pos + step)
-                land, point = land_col[pos:q], point_col[pos:q]
-                end = q  # one past the stretch's last live pair
-                if clustered:
-                    live = np.flatnonzero(~(dead[point] | dead_landmark[land]))
-                    land, point = land[live], point[live]
-                    end = pos + int(live[-1]) + 1 if live.size else pos
-                if end > pos:
-                    # the test at the last live pair, with the sizes before
-                    # its insertion
-                    r = dist[end - 1]
+        pieces = [c]  # a stack: the lower half of a split is read first
+        while pieces:
+            c = pieces.pop()
+            if type(c) is _Chunk and c.cut and not pos:
+                if max_size * c.lo <= T:
+                    # the chunk as cut: its live pairs come grouped by landmark
+                    land, point = np.divmod(c.cut[0], n)
+                    live_dist = c.cut[1]
+                    if clustered:
+                        if dead is None:
+                            dead, dead_landmark = _dead_mask(n, clustered, lid)
+                        live = np.flatnonzero(~(dead[point] | dead_landmark[land]))
+                        land, point = land[live], point[live]
+                        live_dist = live_dist[live]
+                        del live
+                    if not land.size:
+                        continue  # every pair is dead: nothing to test or insert
+                    top = live_dist.max()
                     counts = np.bincount(land, minlength=len(lid))
-                    grown = counts + sizes
-                    grown[land[-1]] -= 1
-                    if grown.max() * r > T:
-                        step, grow = step // 2, False
+                    del land, live_dist
+                    if (counts + sizes).max() * top <= T:
+                        if ints is None:
+                            ints = np.arange(n).astype(object)
+                        point = ints[point]  # frees the int column before the sets grow
+                        sizes = _insert(balls, point, counts)
+                        max_size = max(sizes)
+                        last = top
                         continue
-                    if ints is None:
-                        ints = np.arange(n).astype(object)
-                    sizes = _insert(balls, ints[point[np.argsort(land)]], counts)
-                    max_size = max(sizes)
-                    last = r
-                pos = q
-                step = step * 2 if grow else step // 2
-        if type(dist) is memoryview:  # its iterator cannot be moved
-            cols = [iter(col[pos:]) for col in c[:3]]
-        else:
+                    del point  # before the chunk is split or sorted
+                if c.cut[0].size > _LEAF:
+                    halves = c.split()
+                    if halves:
+                        pieces += reversed(halves)
+                        continue
             cols = [iter(col) for col in c[:3]]
             if pos:
                 for col in cols:
                     col.__setstate__(pos)
-        for li, s, r in zip(*cols):
-            # a pair is live until its point or its landmark's point is
-            # clustered; when an extraction kills the current pair the
-            # re-test moves on to the next live pair
-            while not (s in clustered or lid[li] in clustered):
-                if r != last and max_size * r > T:
-                    product = max_size * r
-                    if product < fired:
-                        if saves is not None:
-                            # zip has read this pair from every column
-                            saves.append(_RunState(
-                                ci, len(c[0]) - length_hint(cols[0]) - 1,
-                                set(clustered), list(map(set.copy, balls)),
-                                sizes[:], clusters[:], fired, last,
-                            ))
-                        fired = product
-                    # the largest ball, lowest position on ties, and every
-                    # ball overlapping it
-                    bstar = balls[sizes.index(max_size)]
-                    merged = set()
-                    for ball in filterfalse(bstar.isdisjoint, balls):
-                        merged |= ball
-                    clusters.append(merged)
-                    if len(clusters) == k:
-                        return clusters, fired  # nothing more can be extracted
-                    clustered |= merged
-                    for j in compress(range(len(lid)), map(merged.__contains__, lid)):
-                        balls[j].clear()
-                    for ball in filterfalse(merged.isdisjoint, balls):
-                        ball -= merged
-                    sizes = list(map(len, balls))
-                    max_size = max(sizes)
-                    dead = None
-                    last = None
-                    continue
-                balls[li].add(s)
-                sizes[li] += 1
-                if sizes[li] > max_size:
-                    max_size = sizes[li]
-                last = r
-                break
+            for li, s, r in zip(*cols):
+                # a pair is live until its point or its landmark's point is
+                # clustered; when an extraction kills the current pair the
+                # re-test moves on to the next live pair
+                while not (s in clustered or lid[li] in clustered):
+                    if r != last and max_size * r > T:
+                        product = max_size * r
+                        if product < fired:
+                            if saves is not None:
+                                # zip has read this pair from every column
+                                saves.append(_RunState(
+                                    ci, len(c[0]) - length_hint(cols[0]) - 1,
+                                    set(clustered), list(map(set.copy, balls)),
+                                    sizes[:], clusters[:], fired, last,
+                                ))
+                            fired = product
+                        # the largest ball, lowest position on ties, and every
+                        # ball overlapping it
+                        bstar = balls[sizes.index(max_size)]
+                        merged = set()
+                        for ball in filterfalse(bstar.isdisjoint, balls):
+                            merged |= ball
+                        clusters.append(merged)
+                        if len(clusters) == k:
+                            return clusters, fired  # nothing more can be extracted
+                        clustered |= merged
+                        for j in compress(range(len(lid)),
+                                          map(merged.__contains__, lid)):
+                            balls[j].clear()
+                        for ball in filterfalse(merged.isdisjoint, balls):
+                            ball -= merged
+                        sizes = list(map(len, balls))
+                        max_size = max(sizes)
+                        dead = None
+                        last = None
+                        continue
+                    balls[li].add(s)
+                    sizes[li] += 1
+                    if sizes[li] > max_size:
+                        max_size = sizes[li]
+                    last = r
+                    break
 
     # the finite stream ran out first: the points left form one cluster
     clusters.append([s for s in range(n) if s not in clustered])

@@ -81,19 +81,22 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
     with product p, which does not fire at p.  So each run after the first
     resumes from the state saved just before that extraction
     (`_stream_min_sum`'s `saves`) and inherits the saved states before it.
-    The stream's chunks are sorted and turned into Python lists once, when
-    the first run reaches them, and a saved state points into those lists;
-    each chunk keeps its sorted columns beside the lists, for the stretches
-    a run inserts in bulk.
+    Each chunk of the stream is sorted whole into Python lists once, when
+    the first run reaches it, and a saved state points into those lists;
+    so, unlike a single run, the sweep splits no chunk and inserts none
+    unsorted.
     """
     n = table.n
+    # the parameters first: the scan below reads all n' x n distances
+    if not 1 <= k <= n:
+        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if not 0 <= stop_bound_b < n:
+        raise ParameterError(f"need 0 <= b < n, got b={stop_bound_b}, n={n}")
     rows = table.rows
     # the first threshold: the smallest positive finite distance
     t = float(np.min(rows, where=(rows > 0) & (rows < INF), initial=INF))
     if t == INF:
         raise DataError("no positive finite landmark-point distances")
-    if not 0 <= stop_bound_b < n:
-        raise ParameterError(f"need 0 <= b < n, got b={stop_bound_b}, n={n}")
     needed = n - stop_bound_b
     coverage: list[tuple[float, int]] = []
     pending = table.chunks()
@@ -103,7 +106,7 @@ def sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult:
         # runs read one at a time, so only the current one appends
         yield from converted[first:]
         for c in pending:
-            converted.append([col.tolist() for col in c] + [*c])
+            converted.append(c[:])
             yield converted[-1]
 
     saves: list[_RunState] = []

@@ -1,5 +1,7 @@
+import importlib
 import inspect
 import itertools
+import textwrap
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from landmark_minsum import (
     plant_landmarks,
     stop_bound_from,
 )
+from oracles import full_stream
 
 # ---------------------------------------------------------------------------
 # shared builders
@@ -34,9 +37,10 @@ def random_metric(n: int, dim: int, seed: int, scale: float = 10.0) -> MetricMat
 
 
 def rebuilt(function, edits=()):
-    """`function` recompiled from its source, with each (old, new) text edit
-    applied, in a copy of its module's namespace: the mutant of a gate."""
-    source = inspect.getsource(function)
+    """`function`, or a method, recompiled from its source, with each (old,
+    new) text edit applied, in a copy of its module's namespace: the mutant
+    of a gate."""
+    source = textwrap.dedent(inspect.getsource(function))
     for old, new in edits:
         assert source.count(old) == 1, old  # the mutant still applies
         source = source.replace(old, new)
@@ -47,16 +51,44 @@ def rebuilt(function, edits=()):
 
 def assert_saves_match_sorted(kernel, table, k, t):
     """A run by `kernel` over `table.chunks()`, which takes quiet chunks
-    unsorted, saves the states that the run over the same chunks, all
-    sorted, saves: the same balls, sizes, clusters, fired product and
-    `last` at every record-low extraction.  Saved offsets are exact only on
-    list chunks, so both runs read memoryviews and offsets are left out."""
+    unsorted and splits the others, saves the states that the run over the
+    same chunks, each sorted whole, saves: the same balls, sizes, clusters,
+    fired product and `last` at every record-low extraction.  The offsets
+    that the splitting run saves point into the pieces of a chunk, not into
+    the chunk, so offsets are left out."""
     runs = []
     for chunks in (table.chunks(), (tuple(c) for c in table.chunks())):
         saves = []
         clusters, fired = kernel(table, k, t, chunks, None, saves)
         runs.append(([s._replace(offset=None) for s in saves], clusters, fired))
     assert runs[0] == runs[1]
+
+
+def assert_pieces_match_sorted(table):
+    """Split every chunk of `table.chunks()` as a single run does, down to
+    `_LEAF` pairs or one distance, the lower half first: the pieces, each
+    sorted, concatenate to `oracles.full_stream`; no tie straddles two
+    pieces, and no distance is below a piece's `lo` or, before the piece,
+    above it."""
+    leaf = importlib.import_module("landmark_minsum.landmark")._LEAF
+    cols = ([], [], [])
+    below = -np.inf  # the largest distance before the piece
+    for chunk in table.chunks():
+        pieces = [chunk]
+        while pieces:
+            piece = pieces.pop()
+            halves = piece.split() if piece.cut[0].size > leaf else None
+            if halves:
+                pieces += reversed(halves)
+                continue
+            dist = piece.cut[1]
+            assert dist.size <= leaf or np.unique(dist).size == 1
+            assert below <= piece.lo <= dist.min() and below < dist.min()
+            below = dist.max()
+            for col, part in zip(cols, piece):
+                col.extend(part)
+    for col, ref in zip(cols, full_stream(table)):
+        assert np.asarray(col, ref.dtype).tobytes() == ref.tobytes()
 
 
 def random_symmetric(n: int, seed: int, scale: float = 5.0) -> MetricMatrix:

@@ -134,7 +134,7 @@ def replay_sweep(table: LandmarkTable, k: int, stop_bound_b: int) -> SweepResult
     def chunks():
         yield from converted
         for c in pending:
-            converted.append([col.tolist() for col in c])
+            converted.append(c[:])
             yield converted[-1]
 
     while True:

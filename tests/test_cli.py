@@ -256,6 +256,21 @@ class TestSweepCommand:
         assert payload["chosen_T"] > 0
         assert len(payload["candidates_tried"]) == payload["runs_executed"]
 
+    @pytest.mark.parametrize("k, bound", [("0", "0"), ("2", "5")],
+                             ids=["k-zero", "bound-above-n"])
+    def test_bad_k_or_bound_is_checked_before_the_distances(
+        self, capsys, tmp_path, k, bound
+    ):
+        # the all-zero matrix has no positive distance, a DataError; a k or
+        # b out of range is refused first, as `cluster` refuses --k 0
+        path = write_matrix(tmp_path, MetricMatrix(np.zeros((3, 3))))
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--input", path, "--k", k, "--landmarks", "2",
+            "--stop-bound", bound,
+        )
+        assert code == 2 and stdout == ""
+        assert json.loads(err)["error"] == "ParameterError"
+
 
 class TestBaselineCommand:
     def test_baseline_runs(self, capsys, bundle_dir):

@@ -39,6 +39,7 @@ from landmark_minsum.landmark import (
 )
 
 from conftest import (
+    assert_pieces_match_sorted,
     assert_saves_match_sorted,
     criterion_07_case,
     euclidean_matrix,
@@ -248,6 +249,15 @@ class TestChunkedStream:
             assert col.tobytes() == ref.tobytes()
         for dist, after in zip(dists, dists[1:]):
             assert dist.size and dist[-1] < after[0]  # no tie split
+
+    @given(chunk_cases(), st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_split_pieces_concatenate_to_the_full_sort(self, case, leaf):
+        # leaves of 1-8 pairs split each chunk at many distances
+        table, first = case
+        with mock.patch.object(landmark_module, "_FIRST_CHUNK", first), \
+                mock.patch.object(landmark_module, "_LEAF", leaf):
+            assert_pieces_match_sorted(table)
 
 
 class TestClusterMinSum:
@@ -461,18 +471,16 @@ class TestMatchesLoopOracle:
     @given(stream_cases(), st.integers(1, 7))
     @settings(max_examples=300, deadline=None)
     def test_small_adversarial_tables(self, case, tiny):
-        # every stream form: the chunks a single run takes unsorted where
-        # no test can fire, those chunks sorted, as views read in place, and
-        # the lists a sweep converts once; cut at the default chunk size and
-        # at a tiny one that puts chunk edges inside the run
+        # both stream forms: the chunks a single run takes unsorted where
+        # no test can fire, and those chunks sorted whole, as a sweep
+        # converts them once; cut at the default chunk size and at a tiny
+        # one that puts chunk edges inside the run
         table, k, t = case
         ref, ref_fired = loop_stream_min_sum(table, k, t)
         for first in (landmark_module._FIRST_CHUNK, tiny):
             with mock.patch.object(landmark_module, "_FIRST_CHUNK", first):
                 for chunks in (table.chunks(),
-                               (tuple(c) for c in table.chunks()),
-                               ([col.tolist() for col in c]
-                                for c in table.chunks())):
+                               (tuple(c) for c in table.chunks())):
                     clusters, fired = _stream_min_sum(table, k, t, chunks)
                     run = _as_clustering(table, k, clusters)
                     assert run.clusters == ref.clusters
@@ -529,41 +537,37 @@ class TestMatchesLoopOracle:
         assert res.clustering is built[-1]
 
 
-def assert_bulk_matches_loop(table, k, t, least, first):
-    """`_stream_min_sum`, with stretches from `least` pairs and a first chunk
-    of about `first` pairs, equals `oracles.loop_stream_min_sum` in clusters
+def assert_bulk_matches_loop(table, k, t, leaf, first):
+    """`_stream_min_sum`, with leaves of `leaf` pairs and a first chunk of
+    about `first` pairs, equals `oracles.loop_stream_min_sum` in clusters
     and fired product, on each chunk form: the chunks a single run takes
-    unsorted where no test can fire, those chunks sorted, as memoryviews,
-    the lists a caller converts, and those lists with the memoryviews
-    beside them, as `sweep` keeps them.  The run that takes chunks unsorted
-    saves the states of the run that sorts them all."""
+    unsorted where no test can fire and splits elsewhere, and those chunks
+    sorted whole, as `sweep` converts them.  The run that takes chunks
+    unsorted saves the states of the run that sorts them whole."""
     ref, ref_fired = loop_stream_min_sum(table, k, t)
-    with mock.patch.object(landmark_module, "_MIN_STRETCH", least), \
+    with mock.patch.object(landmark_module, "_LEAF", leaf), \
             mock.patch.object(landmark_module, "_FIRST_CHUNK", first):
-        for chunks in (table.chunks(),
-                       (tuple(c) for c in table.chunks()),
-                       ([col.tolist() for col in c] for c in table.chunks()),
-                       ([col.tolist() for col in c] + [*c]
-                        for c in table.chunks())):
+        for chunks in (table.chunks(), (tuple(c) for c in table.chunks())):
             clusters, fired = _stream_min_sum(table, k, t, chunks)
             assert _as_clustering(table, k, clusters).to_dict() == ref.to_dict()
             assert fired == ref_fired
         assert_saves_match_sorted(_stream_min_sum, table, k, t)
 
 
-# (points on a line or grid, landmark points, k, T, whether a stretch
-# must read the clustered-point mask)
+# (points on a line or grid, landmark points, k, T, whether a piece must
+# read the clustered-point mask)
 BULK_CASES = {
     # the run at T = 3 inserts points 0 and 1, then point 2 at the same
-    # distance 2: its test is skipped, though 2 * 2 > 3
+    # distance 2: its test is skipped, though 2 * 2 > 3; the two pairs at
+    # distance 2 stay in one piece
     "tie across a stretch edge": ([(0, 0), (2, 0), (2, 0)], [0], 1, 3.0, False),
     # every pair at distance 0: nothing fires, the stream runs out
     "zero distances": ([(1, 1)] * 4, [0, 2], 2, 1.0, False),
     # three copies of one point fire at the first distance 1 (3 * 1 > 2.5)
     "duplicate points": ([(0, 0)] * 3 + [(1, 0)] * 2, [0, 3], 2, 2.5, False),
-    # the ball {1, 2, 3} fires at distance 2; the stretch after it holds
-    # the dead pairs of points 1-3 and the live pair (4, 0); two clusters
-    # form where k = 5 asks for more
+    # the ball {1, 2, 3} fires at distance 2; a piece after it holds the
+    # dead pairs of points 1-3 and the live pair (4, 0); two clusters form
+    # where k = 5 asks for more
     "dead pairs in a stretch": ([(1, 0), (2, 0), (3, 0), (3, 0), (5, 0)],
                                 [3, 4], 5, 4.5, True),
     "nothing fires at T = 1e30": ([(0, 0), (1, 2), (3, 1), (2, 2), (0, 3), (3, 3)],
@@ -572,15 +576,16 @@ BULK_CASES = {
 
 
 class TestBulkStretches:
-    """Differential gate for the quiet stretches a run inserts in bulk: with
-    stretches from 1-8 pairs and first chunks of 1-8 pairs, stretch edges
-    fall between tied pairs, inside dead gaps and next to extractions."""
+    """Differential gate for the pieces a single run splits off a chunk and
+    takes unsorted where no test can fire: with leaves of 1-8 pairs and
+    first chunks of 1-8 pairs, piece edges fall next to ties, inside dead
+    gaps and next to extractions."""
 
     @given(stream_cases(), st.integers(1, 8), st.integers(1, 8), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_small_adversarial_tables(self, case, least, first, huge):
+    def test_small_adversarial_tables(self, case, leaf, first, huge):
         table, k, t = case
-        assert_bulk_matches_loop(table, k, 1e30 if huge else t, least, first)
+        assert_bulk_matches_loop(table, k, 1e30 if huge else t, leaf, first)
 
     @pytest.mark.parametrize("name", BULK_CASES)
     def test_named_cases(self, name):
@@ -588,17 +593,18 @@ class TestBulkStretches:
         table = table_for(euclidean_matrix(coords), landmarks)
         with mock.patch.object(np, "split", wraps=np.split) as inserted, \
                 mock.patch.object(np, "fromiter", wraps=np.fromiter) as mask:
-            for least in range(1, 9):
+            for leaf in range(1, 9):
                 for first in range(1, 9):
-                    assert_bulk_matches_loop(table, k, t, least, first)
-        assert inserted.called  # some stretch went in bulk
+                    assert_bulk_matches_loop(table, k, t, leaf, first)
+        assert inserted.called  # some piece went in unsorted
         assert mask.called or not masked
 
 
 class TestChunkSorts:
-    """Work-count guards for the quiet chunks a run takes unsorted: a run
-    sorts a chunk only where a test in it may fire, and never holds a chunk
-    sorted and unsorted at once."""
+    """Work-count guards for the quiet chunks a run takes unsorted and the
+    chunks it splits: a run sorts only pieces of at most `_LEAF` pairs, or
+    of one distance, where a test may fire, and never holds a chunk sorted
+    and unsorted at once."""
 
     @pytest.fixture(scope="class")
     def table(self):
@@ -613,45 +619,50 @@ class TestChunkSorts:
 
     @staticmethod
     def sorted_by_run(table, k, t):
-        """The `lo` of each chunk that `cluster_min_sum(table, k, t)` sorts,
-        in order, and the run's clustering."""
-        sorted_lo = []
+        """The `lo`, pair count and distinct distance count of each piece
+        that `cluster_min_sum(table, k, t)` sorts, in order, and the run's
+        clustering."""
+        sorted_pieces = []
         sort = _Chunk._sort
 
         def counted(chunk):
-            sorted_lo.append(chunk.lo)
+            dist = chunk.cut[1]
+            sorted_pieces.append((chunk.lo, dist.size, np.unique(dist).size))
             sort(chunk)
 
         with mock.patch.object(_Chunk, "_sort", counted):
             run = cluster_min_sum(table, k, t)
-        return sorted_lo, run
+        return sorted_pieces, run
 
     def test_a_run_in_which_nothing_fires_sorts_no_chunk(self, table):
         assert len(list(table.chunks())) == 5
-        sorted_lo, run = self.sorted_by_run(table, 8, 1e30)
-        assert sorted_lo == []
+        sorted_pieces, run = self.sorted_by_run(table, 8, 1e30)
+        assert sorted_pieces == []
         assert run.clusters[0] == list(range(table.n))
 
     @pytest.mark.parametrize("t, first", [(2e4, 1), (8e4, 2), (3.2e5, 3)])
     def test_a_run_sorts_from_its_first_extraction_on(self, table, t, first):
-        # the chunk of the first extraction, from the state saved before it
+        # the chunk of the first extraction, from the state saved before it;
+        # the chunks from 8,192 pairs on exceed a leaf, so they are split
         saves = []
-        _stream_min_sum(table, 8, t, ([col.tolist() for col in c]
-                                      for c in table.chunks()), None, saves)
+        _stream_min_sum(table, 8, t, (tuple(c) for c in table.chunks()),
+                        None, saves)
         assert saves[0].chunk == first
-        edges = [c.lo for c in table.chunks()]
-        sorted_lo, run = self.sorted_by_run(table, 8, t)
-        assert sorted_lo[0] == edges[first]
-        assert set(sorted_lo) <= set(edges[first:])
+        edge = [c.lo for c in table.chunks()][first]
+        sorted_pieces, run = self.sorted_by_run(table, 8, t)
+        assert sorted_pieces
+        for lo, pairs, distances in sorted_pieces:
+            assert lo >= edge
+            assert pairs <= landmark_module._LEAF or distances == 1
         ref = _as_clustering(table, 8, _stream_min_sum(
             table, 8, t, (tuple(c) for c in table.chunks()))[0])
         assert run.to_dict() == ref.to_dict()
 
     def test_a_chunk_is_held_in_one_form(self, monkeypatch):
         # one chunk of 200k pairs that fails the bound: the run counts its
-        # live pairs as cut, then sorts it, at a peak of 32 bytes a pair;
-        # holding the cut, or the columns counted from it, beside the
-        # sorted columns raises that to 48
+        # live pairs as cut, then splits it, at a peak of 34 bytes a pair;
+        # holding the cut beside its halves raises that to 41, and the
+        # columns counted from it to 42
         n = 10_000
         pts = np.random.default_rng(24).uniform(0, 100, size=(n, 4))
         table = build_landmark_table(PointCloudDistanceSource(pts),

@@ -28,9 +28,10 @@ from landmark_minsum import (
     stop_bound_from,
     sweep,
 )
-from landmark_minsum.landmark import _as_clustering, _stream_min_sum
+from landmark_minsum.landmark import _as_clustering, _Chunk, _stream_min_sum
 
 from conftest import (
+    assert_pieces_match_sorted,
     assert_saves_match_sorted,
     criterion_07_case,
     euclidean_matrix,
@@ -292,19 +293,17 @@ class TestMatchesCandidateWalk:
     def test_small_adversarial_metrics(self, case):
         assert_matches_oracle(*case)
 
-    @given(adversarial_cases(), st.integers(1, 8), st.integers(1, 8))
+    @given(adversarial_cases(), st.integers(1, 8))
     @settings(max_examples=150, deadline=None)
-    def test_bulk_stretches_match_the_replay(self, case, least, first):
-        # stretches from 1-8 pairs and first chunks of 1-8 pairs put
-        # stretch edges between ties, in dead gaps and at resume points;
-        # the replay runs at the default sizes
+    def test_bulk_stretches_match_the_replay(self, case, first):
+        # first chunks of 1-8 pairs put chunk edges between ties, in dead
+        # gaps and at resume points; the replay runs at the default size
         table, k, b = case
         try:
             replayed = json.dumps(replay_sweep(table, k, b).to_dict())
         except DataError:
             return  # no positive finite distance: nothing to sweep
-        with mock.patch.object(landmark_module, "_MIN_STRETCH", least), \
-                mock.patch.object(landmark_module, "_FIRST_CHUNK", first):
+        with mock.patch.object(landmark_module, "_FIRST_CHUNK", first):
             assert json.dumps(sweep(table, k, b).to_dict()) == replayed
 
 
@@ -327,7 +326,8 @@ def test_tied_minimum_resumes_before_the_first_extraction():
 
 
 # mutants of the resume point, as (old, new) edits of the kernel's source
-_FRESH_SAVE = "                    if product < fired:\n                        if saves is not None:"
+_FRESH_SAVE = ("                        if product < fired:\n"
+               "                            if saves is not None:")
 RESUME_MUTANTS = {
     "one-test-late": [(
         "len(c[0]) - length_hint(cols[0]) - 1,",
@@ -335,21 +335,21 @@ RESUME_MUTANTS = {
     )],
     # the state saved once the record-low extraction is done, k-th included
     "after-the-extraction": [
-        (_FRESH_SAVE, "                    before = fired\n" + _FRESH_SAVE.replace(
+        (_FRESH_SAVE, "                        before = fired\n" + _FRESH_SAVE.replace(
             "if saves is not None:", "if False:")),
-        ("                    if len(clusters) == k:\n"
-         "                        return clusters, fired  # nothing more can be extracted\n",
+        ("                        if len(clusters) == k:\n"
+         "                            return clusters, fired  # nothing more can be extracted\n",
          ""),
-        ("                    last = None\n                    continue\n",
-         "                    last = None\n"
-         "                    if product < before and saves is not None:\n"
-         "                        saves.append(_RunState(\n"
-         "                            ci, len(c[0]) - length_hint(cols[0]) - 1,\n"
-         "                            set(clustered), list(map(set.copy, balls)),\n"
-         "                            sizes[:], clusters[:], before, last))\n"
-         "                    if len(clusters) == k:\n"
-         "                        return clusters, fired\n"
-         "                    continue\n"),
+        ("                        last = None\n                        continue\n",
+         "                        last = None\n"
+         "                        if product < before and saves is not None:\n"
+         "                            saves.append(_RunState(\n"
+         "                                ci, len(c[0]) - length_hint(cols[0]) - 1,\n"
+         "                                set(clustered), list(map(set.copy, balls)),\n"
+         "                                sizes[:], clusters[:], before, last))\n"
+         "                        if len(clusters) == k:\n"
+         "                            return clusters, fired\n"
+         "                        continue\n"),
     ],
     # every extraction at the smallest product so far saves, so the last
     # one is resumed from
@@ -381,55 +381,6 @@ class TestResumeMutants:
                             mutant_kernel(RESUME_MUTANTS[name]))
         with pytest.raises(AssertionError):
             assert_matches_oracle(*case())
-
-
-def tie_after_stretch_case():
-    """A tie right after a bulk stretch.  Point 0 is the one landmark and
-    points 1 and 2 sit together at distance 2 from it.  With stretches of 1
-    or 2 pairs, the run at T = 2 inserts points 0 and 1 in bulk and stops
-    before point 2, whose test 2 * 2 > 2 would fire; the loop skips that
-    test, as the distance did not change, and clusters all three points."""
-    return table_for(euclidean_matrix([(0, 0), (2, 0), (2, 0)]), [0]), 1, 0
-
-
-# mutants of the bulk stretch, as (old, new) edits of the kernel's source
-BULK_MUTANTS = {
-    # the bound at the current largest ball, not at the sizes the stretch
-    # grows the balls to
-    "current-max-size": [("if grown.max() * r > T:", "if max_size * r > T:")],
-    "first-distance": [("if grown.max() * r > T:",
-                        "if grown.max() * dist[pos] > T:")],
-    # `last` left as before the stretch, so a tie right after it is tested
-    "stale-last": [("                    last = r\n", "")],
-}
-BULK_MUTANT_CASES = {
-    "current-max-size": lambda: criterion_07_case(0),
-    "first-distance": lambda: criterion_07_case(0),
-    "stale-last": tie_after_stretch_case,
-}
-
-
-class TestBulkMutants:
-    """Each mutant of the bulk stretch makes the gate fail on a committed
-    case once a stretch may be one pair long; the unedited rebuild passes
-    it."""
-
-    @staticmethod
-    def use(edits, monkeypatch):
-        kernel = mutant_kernel(edits)
-        kernel.__globals__["_MIN_STRETCH"] = 1  # its own copy of the module's
-        monkeypatch.setattr(sweep_module, "_stream_min_sum", kernel)
-
-    def test_rebuilt_kernel_passes(self, monkeypatch):
-        self.use([], monkeypatch)
-        for case in BULK_MUTANT_CASES.values():
-            assert_matches_oracle(*case())
-
-    @pytest.mark.parametrize("name", BULK_MUTANTS)
-    def test_mutant_fails_the_gate(self, name, monkeypatch):
-        self.use(BULK_MUTANTS[name], monkeypatch)
-        with pytest.raises(AssertionError):
-            assert_matches_oracle(*BULK_MUTANT_CASES[name]())
 
 
 def quiet_chunk_case():
@@ -466,7 +417,7 @@ CHUNK_MUTANTS = {
                           "if max_size * top <= T:")],
     # `last` left as before the chunk: no later test changes, since chunks
     # are tie-complete, but the states saved from then on differ
-    "stale-last": [("                last = top\n", "")],
+    "stale-last": [("                        last = top\n", "")],
 }
 
 
@@ -482,3 +433,62 @@ class TestChunkMutants:
         kernel = mutant_kernel(CHUNK_MUTANTS[name])
         with pytest.raises(AssertionError):
             assert_chunks_match(kernel, *quiet_chunk_case())
+
+
+def tie_case():
+    """A tie that a split must keep whole.  Point 0 is the one landmark and
+    points 1 and 2 sit together at distance 2 from it.  With leaves of one
+    pair, the run at T = 3 splits the pair at distance 0 off its chunk; the
+    two pairs at distance 2 hold one distance, so it sorts them as one
+    piece."""
+    return table_for(euclidean_matrix([(0, 0), (2, 0), (2, 0)]), [0]), 1, 3.0
+
+
+# mutants of the split a single run makes, as (old, new) edits of the
+# kernel's source and of `_Chunk.split`'s
+BULK_MUTANTS = {
+    # the run reads the upper half of a split first
+    "upper-half-first": ([("pieces += reversed(halves)", "pieces += halves")], []),
+    # halves cut by position after a partition, so a tie at the cut may
+    # straddle them
+    "tie-cut": ([], [(
+        "    low = dist <= v\n",
+        "    low = np.zeros(dist.size, bool)\n"
+        "    low[np.argpartition(dist, dist.size // 2)[:dist.size // 2]] = True\n",
+    )]),
+}
+SPLIT = _Chunk.split  # the source the split mutants edit
+BULK_MUTANT_CASES = {
+    "upper-half-first": quiet_chunk_case,
+    "tie-cut": tie_case,
+}
+
+
+class TestBulkMutants:
+    """Each mutant of the split makes the gate fail on a committed case once
+    a leaf is one pair: the pieces of each chunk against the full sort, and
+    `assert_chunks_match`.  The unedited rebuild passes it."""
+
+    @staticmethod
+    def use(edits, split_edits, monkeypatch):
+        """The kernel with `edits`, over a `_Chunk.split` with `split_edits`
+        and leaves of one pair."""
+        monkeypatch.setattr(_Chunk, "split", rebuilt(SPLIT, split_edits))
+        monkeypatch.setattr(landmark_module, "_LEAF", 1)
+        return mutant_kernel(edits)  # its globals copy the module's _LEAF
+
+    @staticmethod
+    def assert_gate(kernel, table, k, t):
+        assert_pieces_match_sorted(table)
+        assert_chunks_match(kernel, table, k, t)
+
+    def test_rebuilt_kernel_passes(self, monkeypatch):
+        kernel = self.use([], [], monkeypatch)
+        for case in BULK_MUTANT_CASES.values():
+            self.assert_gate(kernel, *case())
+
+    @pytest.mark.parametrize("name", BULK_MUTANTS)
+    def test_mutant_fails_the_gate(self, name, monkeypatch):
+        kernel = self.use(*BULK_MUTANTS[name], monkeypatch)
+        with pytest.raises(AssertionError):
+            self.assert_gate(kernel, *BULK_MUTANT_CASES[name]())
