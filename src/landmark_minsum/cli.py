@@ -31,6 +31,7 @@ from .evaluation import (
     clustering_distance,
     embed_kmeans_baseline,
     min_sum,
+    require_walk_fits,
     verify_stability,
 )
 from .generate import (
@@ -277,6 +278,8 @@ def cmd_verify(args) -> dict:
         raise ParameterError(
             "no stability parameters: pass --alpha/--epsilon or use a bundle"
         )
+    if args.check_stability:  # refused before the classification and audit
+        require_walk_fits(matrix.n, target.k)
     out = classify_points(matrix, target, stability).to_dict()
     out["version"] = __version__
     metric_report = check_metric(

@@ -26,6 +26,12 @@ from .metric import DistanceSource, MetricMatrix
 # size at n = k = 12, Bell(12) partitions and 2^12 subsets
 _WALK_LIMIT = 4_213_597 + 2**12
 
+# the subset table scores at most this many gathered distances at once,
+# and groups masks by their number of points 2^_LOW_BITS masks at a time:
+# about 0.4 MB of temporaries beside the 2^n table at any n
+_BATCH = 2**14
+_LOW_BITS = 12
+
 
 @dataclass
 class ObjectiveValue:
@@ -42,11 +48,35 @@ def _require_partition(c: Clustering, n: int) -> None:
         raise DataError("clustering has unassigned points")
 
 
+def _min_sum_blocks(blocks: np.ndarray) -> tuple[np.ndarray, None]:
+    """The min-sum score of each (m, m) block of a (b, m, m) stack: half
+    the block's sum, and 0.0 below two points."""
+    if blocks.shape[1] < 2:
+        return np.zeros(len(blocks)), None
+    return 0.0 + blocks.sum(axis=(1, 2)) / 2.0, None
+
+
+def _balanced_k_median_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The balanced score of each (m, m) block of a (b, m, m) stack, m
+    times its least column sum, and the column of that sum, the first one
+    (lowest point index) on a tie."""
+    sums = blocks.sum(axis=1)
+    best = sums.argmin(axis=1)
+    return 0.0 + blocks.shape[1] * sums[np.arange(len(sums)), best], best
+
+
+# each objective's one formula, scored on a stack of blocks
+_OBJECTIVES = {
+    "min_sum": _min_sum_blocks,
+    "balanced_k_median": _balanced_k_median_blocks,
+}
+
+
 def _min_sum_of(clusters: list[list[int]], d: np.ndarray) -> ObjectiveValue:
     total = 0.0
     for members in clusters:
-        if len(members) > 1:
-            total += float(d[np.ix_(members, members)].sum()) / 2.0
+        block = d[np.ix_(members, members)][None]
+        total += float(_min_sum_blocks(block)[0][0])
     return ObjectiveValue("min_sum", total)
 
 
@@ -59,14 +89,10 @@ def _balanced_k_median_of(
         if not members:
             medians.append(None)
             continue
-        sums = d[np.ix_(members, members)].sum(axis=0)
-        best = int(np.argmin(sums))  # first minimum = lowest point index
-        medians.append(members[best])
-        total += len(members) * float(sums[best])
+        value, best = _balanced_k_median_blocks(d[np.ix_(members, members)][None])
+        medians.append(members[int(best[0])])
+        total += float(value[0])
     return ObjectiveValue("balanced_k_median", total, medians)
-
-
-_OBJECTIVES = {"min_sum": _min_sum_of, "balanced_k_median": _balanced_k_median_of}
 
 
 def min_sum(c: Clustering, m: MetricMatrix) -> ObjectiveValue:
@@ -371,6 +397,54 @@ class StabilityVerdict:
         return self.holds
 
 
+def require_walk_fits(n: int, k: int) -> None:
+    """Refuse, with a `ParameterError`, a stability walk over n points into
+    at most k blocks that would hold more than `_WALK_LIMIT` scores."""
+    # from n = 23 on 2^n alone is past the limit: no partitions are counted
+    size = _walk_size(n, k) if n < _WALK_LIMIT.bit_length() else None
+    if size is None or size > _WALK_LIMIT:
+        raise ParameterError(
+            f"stability check refused: its walk at n={n}, k={k} holds "
+            f"{size or f'more than 2^{n}'} scores, over the limit of "
+            f"{_WALK_LIMIT}"
+        )
+
+
+def _subset_table(d: np.ndarray, k: int, objective: str) -> np.ndarray:
+    """w[mask]: the one-block score of each subset of range(n), w[0] = 0.0.
+
+    k = 1 has one block, so only the full set is scored; any larger k puts
+    every subset in some partition.  Subsets are scored in batches of one
+    block size and at most `_BATCH` gathered distances, each block with
+    its members in ascending order, as the objective scores a cluster.
+    """
+    score = _OBJECTIVES[objective]
+    n = len(d)
+    w = np.zeros(1 << n)
+    # a mask is a pattern of its `low` low bits under a pattern `high` of
+    # the others; lows[c] holds the low patterns of c points, ascending
+    low = min(n, _LOW_BITS)
+    ones = np.zeros(1, np.intp)
+    for _ in range(low):
+        ones = np.concatenate([ones, ones + 1])
+    lows = [np.flatnonzero(ones == c) for c in range(low + 1)]
+    bits = np.left_shift(1, np.arange(n))
+    for high in range(1 << (n - low)):
+        for c, pattern in enumerate(lows):
+            m = bin(high).count("1") + c
+            if m == 0 or k == 1 and m < n:
+                continue
+            masks = pattern | high << low
+            # a batch gathers (step, m, m) distances from (step, n) bits
+            step = max(1, _BATCH // max(m * m, n))
+            for start in range(0, len(masks), step):
+                batch = masks[start:start + step]
+                # row-major, so each mask's members come out ascending
+                idx = np.nonzero(batch[:, None] & bits)[1].reshape(-1, m)
+                w[batch] = score(d[idx[:, :, None], idx[:, None, :]])[0]
+    return w
+
+
 def verify_stability(
     m: MetricMatrix,
     target: Clustering,
@@ -383,30 +457,22 @@ def verify_stability(
     Every clustering within factor (1 + alpha) of the optimum must be
     within distance epsilon of the target; returns the first counterexample
     otherwise.  Refuses, before building any array, a walk that would hold
-    more than `_WALK_LIMIT` scores.
+    more than `_WALK_LIMIT` scores (`require_walk_fits`).
+
+    Each subset a partition can use is scored once, in numpy batches of
+    one block size (`_subset_table`); a partition's score sums those of
+    its blocks.
+    What remains in Python is one loop step per chunk of partitions and
+    one per partition within the limit, so the walk costs its partitions.
     """
     n = m.n
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if objective not in _OBJECTIVES:
         raise ParameterError(f"unknown objective {objective!r}")
-    # from n = 23 on 2^n alone is past the limit: no partitions are counted
-    size = _walk_size(n, k) if n < _WALK_LIMIT.bit_length() else None
-    if size is None or size > _WALK_LIMIT:
-        raise ParameterError(
-            f"stability check refused: its walk at n={n}, k={k} holds "
-            f"{size or f'more than 2^{n}'} scores, over the limit of "
-            f"{_WALK_LIMIT}"
-        )
+    require_walk_fits(n, k)
     _require_partition(target, m.n)
-    score = _OBJECTIVES[objective]
-    d = m.values
-    # w[mask]: the one-block score of each subset, scored once; k = 1 has
-    # one block, any larger k puts every subset in some partition
-    full = (1 << n) - 1
-    w = np.zeros(full + 1)
-    for mask in range(1, full + 1) if k > 1 else [full]:
-        w[mask] = score([[p for p in range(n) if mask >> p & 1]], d).value
+    w = _subset_table(m.values, k, objective)
     # a partition scores w over its blocks in label order (an empty block
     # reads w[0] = 0.0), the IEEE order of the objective's own running sum
     heads, tails = partition_chunks(n, k)

@@ -16,11 +16,14 @@ loops the triangle audit vectorises: each lists the violating triples the
 audit counts, in the order in which it meets them, so the first is its
 witness.  `emit_pairs` inverts `ingest_similarity`.
 `partitions_upto_k` is the recursive generator of the restricted-growth
-label rows that `partition_chunks` builds in numpy.  `brute_force_optimum`
-and `two_pass_verify_stability` score every partition through the public
-objectives; the second walks the partitions twice, once for the optimum and
-once for the first counterexample, where `verify_stability` scores each
-subset once, sums those scores per partition and replays the walk.
+label rows that `partition_chunks` builds in numpy.  `subset_table` scores
+each subset by one `cluster_score` call, the per-cluster objective formulas,
+where `verify_stability` scores the subsets in batches of one block size.
+`brute_force_optimum` and `two_pass_verify_stability` score every partition
+through the public objectives; the second walks the partitions twice, once
+for the optimum and once for the first counterexample, where
+`verify_stability` scores each subset once, sums those scores per partition
+and replays the walk.
 `two_call_classify_points` and `two_call_verify_structure` are the
 classification and the structural check as two calls with a mutable report,
 which `classify_points` does in one.
@@ -511,6 +514,35 @@ def brute_force_optimum(
         if best is None or val.value < best[1].value:
             best = (c, val)
     return best
+
+
+def cluster_score(d: np.ndarray, members: list[int], objective: str) -> float:
+    """One cluster's score, from its (m, m) block of distances as a 2-D
+    array: half its sum for `min_sum` (0.0 below two points), m times its
+    least column sum, the first on a tie, for `balanced_k_median`."""
+    sub = d[np.ix_(members, members)]
+    if objective == "min_sum":
+        return 0.0 + (float(sub.sum()) / 2.0 if len(members) > 1 else 0.0)
+    sums = sub.sum(axis=0)
+    return 0.0 + len(members) * float(sums[int(np.argmin(sums))])
+
+
+def subset_table(d: np.ndarray, k: int, objective: str, masks=None) -> np.ndarray:
+    """The stability walk's subset table, one `cluster_score` call per
+    subset, members in ascending order: w[mask] for every mask (k = 1: the
+    full set only, the rest 0.0), or the scores of `masks` alone."""
+    n = len(d)
+    full = (1 << n) - 1
+
+    def score(mask: int) -> float:
+        return cluster_score(d, [p for p in range(n) if mask >> p & 1], objective)
+
+    if masks is not None:
+        return np.array([score(mask) for mask in masks])
+    w = np.zeros(full + 1)
+    for mask in range(1, full + 1) if k > 1 else [full]:
+        w[mask] = score(mask)
+    return w
 
 
 def two_pass_verify_stability(

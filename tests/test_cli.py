@@ -554,6 +554,28 @@ class TestVerifyCommand:
         assert payload["error"] == "ParameterError"
         assert "n=23, k=2 holds more than 2^23 scores" in payload["message"]
 
+    def test_oversized_walk_is_refused_before_the_other_checks(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the classification or the triangle audit would fail the test
+        monkeypatch.setattr("landmark_minsum.cli.classify_points", pytest.fail)
+        monkeypatch.setattr("landmark_minsum.cli.check_metric", pytest.fail)
+        out = tmp_path / "n40"
+        save_bundle(generate(InstanceSpec(sizes=(20, 20), theta=1.5, seed=11)), out)
+        artifact = tmp_path / "verify.json"
+        code, stdout, err = run_cli(
+            capsys, "verify", "--input", str(out), "--check-stability",
+            "--output", str(artifact),
+        )
+        assert code == 2 and stdout == ""
+        assert not artifact.exists()
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert payload["message"] == (
+            "stability check refused: its walk at n=40, k=2 holds more than "
+            "2^40 scores, over the limit of 4217693"
+        )
+
     def test_bundle_label_file_missing_point_is_data_error(
         self, capsys, bundle_dir
     ):

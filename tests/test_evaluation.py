@@ -37,11 +37,14 @@ from conftest import (
     random_metric,
     random_partition,
     random_symmetric,
+    rebuilt,
     structure_violation_case,
 )
 from oracles import (
     brute_force_optimum,
+    cluster_score,
     partitions_upto_k,
+    subset_table,
     two_call_classify_points,
     two_call_verify_structure,
     two_pass_verify_stability,
@@ -133,6 +136,32 @@ class TestBalancedKMedian:
         got = balanced_k_median(c, m)
         assert got.value == 4.0
         assert got.medians == [0, None]
+
+
+@pytest.mark.parametrize("objective", ["min_sum", "balanced_k_median"])
+def test_objectives_match_the_per_cluster_formulas(objective):
+    # clusters of 1 to 800 points in scrambled member order: each is scored
+    # as a stack of one block, with the IEEE bits of the 2-D formulas
+    n = 1200
+    m = random_metric(n, 2, seed=25)
+    perm = np.random.default_rng(25).permutation(n).tolist()
+    cuts = [0, 800, 1100, 1160, 1189, 1198, 1199, 1200]
+    c = Clustering(n=n, clusters=[perm[a:b] for a, b in zip(cuts, cuts[1:])] + [[]])
+    one = {"min_sum": evaluation._min_sum_of,
+           "balanced_k_median": evaluation._balanced_k_median_of}[objective]
+    total = 0.0
+    for members in c.clusters:
+        want = cluster_score(m.values, members, objective) if members else 0.0
+        assert repr(one([members], m.values).value) == repr(want)
+        total += want
+    got = (min_sum if objective == "min_sum" else balanced_k_median)(c, m)
+    assert repr(got.value) == repr(total)
+    if objective == "balanced_k_median":
+        assert got.medians == [
+            members[int(np.argmin(m.values[np.ix_(members, members)].sum(axis=0)))]
+            if members else None
+            for members in c.clusters
+        ]
 
 
 def _contingency_table(kind: str, k: int, rng) -> np.ndarray:
@@ -421,7 +450,9 @@ class TestVerifyStability:
     def test_refusal_builds_no_array(self, monkeypatch, n, k, size):
         m = random_metric(n, 2, seed=11)
         target = Clustering(n=n, clusters=[list(range(n))])
-        # scoring a subset or generating a partition would fail the test
+        # building the subset table, scoring a block or generating a
+        # partition would fail the test
+        monkeypatch.setattr(evaluation, "_subset_table", pytest.fail)
         monkeypatch.setitem(evaluation._OBJECTIVES, "balanced_k_median", pytest.fail)
         monkeypatch.setattr(evaluation, "partition_chunks", pytest.fail)
         tracemalloc.start()
@@ -507,7 +538,8 @@ def small_metrics(draw):
 class TestSingleWalkMatchesTwoPass:
     """`verify_stability` scores each subset once, sums those scores per
     partition and replays the walk; the oracle walks twice and scores every
-    partition through the public objectives."""
+    partition through the public objectives.  Which subset each score
+    belongs to is `TestSubsetTable`'s gate."""
 
     @staticmethod
     def check(m, target, k, params, objective):
@@ -515,14 +547,15 @@ class TestSingleWalkMatchesTwoPass:
         scored = []
         score = evaluation._OBJECTIVES[objective]
 
-        def counted(clusters, d):
-            scored.extend(tuple(members) for members in clusters)
-            return score(clusters, d)
+        def counted(blocks):
+            scored.append(len(blocks))
+            return score(blocks)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(evaluation._OBJECTIVES, objective, counted)
             got = verify_stability(m, target, k, params, objective=objective)
-        assert len(set(scored)) == len(scored) <= 2**m.n - 1
+        # one block per non-empty subset, or the full set alone at k = 1
+        assert sum(scored) == (2**m.n - 1 if k > 1 else 1)
         # repr tells -0.0 from 0.0 and is exact for every other float
         assert got.holds == want.holds
         assert repr(got.optimum) == repr(want.optimum)
@@ -602,6 +635,117 @@ class TestSingleWalkMatchesTwoPass:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * stirling_partition_count(n, n) + 16 * 2**20
+
+
+def tied_metrics(n: int) -> dict[str, MetricMatrix]:
+    """Matrices whose subset scores tie or are not finite: L1 distances on
+    a 3 x 3 integer grid, duplicate points (zero off-diagonal between the
+    copies of a site), two components at +inf distance, and -0.0 entries."""
+    rng = np.random.default_rng(n)
+    grid = rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+    l1 = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=2)
+    sites = rng.random((2, 2))[np.arange(n) % 2]
+    duplicates = np.sqrt(((sites[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
+    apart = random_metric(n, 2, seed=n).values.copy()
+    apart[: n // 2, n // 2:] = apart[n // 2:, : n // 2] = math.inf
+    return {
+        "integer-ties": MetricMatrix(l1),
+        "duplicates": MetricMatrix(duplicates),
+        "inf": MetricMatrix(apart),
+        "signed-zero": MetricMatrix(np.full((n, n), -0.0)),
+    }
+
+
+def assert_table_matches_oracle(table, d, k=2, masks=None):
+    """`table(d, k, objective)` equals the per-subset oracle bit for bit,
+    on every mask or on `masks`, for both objectives."""
+    for objective in evaluation._OBJECTIVES:
+        got = table(d, k, objective)
+        if masks is None:
+            want = subset_table(d, k, objective)
+        else:
+            got, want = got[masks], subset_table(d, k, objective, masks)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), objective
+
+
+# mutants of the subset table, as (function, (old, new) edits of its source)
+TABLE_MUTANTS = {
+    # row sums: equal to the column sums on a symmetric block, but summed
+    # pairwise along the contiguous axis; numpy sums fewer than 8 numbers
+    # in order, so below 9 points only the 8-point block can show it
+    "balanced-sums-along-rows": ("_balanced_k_median_blocks", [
+        ("sums = blocks.sum(axis=1)", "sums = blocks.sum(axis=2)"),
+    ]),
+    "members-descending": ("_subset_table", [
+        (".reshape(-1, m)", ".reshape(-1, m)[:, ::-1]"),
+    ]),
+    "min-sum-over-reversed-members": ("_min_sum_blocks", [(
+        "blocks.sum(axis=(1, 2))",
+        "np.ascontiguousarray(blocks[:, ::-1, ::-1]).sum(axis=(1, 2))",
+    )]),
+}
+
+
+class TestSubsetTable:
+    """`_subset_table` scores the subsets in numpy batches of one block
+    size; the oracle scores one subset per call with the per-cluster
+    formulas.  Their IEEE bits agree, so every partition score, optimum and
+    limit the walk derives from the table does too."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_mask_on_random_metrics(self, k):
+        for n in range(1, 15):
+            d = random_metric(n, 2, seed=n).values
+            assert_table_matches_oracle(evaluation._subset_table, d, k)
+
+    @pytest.mark.parametrize(
+        "kind", ["integer-ties", "duplicates", "inf", "signed-zero"]
+    )
+    @pytest.mark.parametrize("n", [8, 13])
+    def test_every_mask_on_tied_and_infinite_metrics(self, n, kind):
+        d = tied_metrics(n)[kind].values
+        assert_table_matches_oracle(evaluation._subset_table, d)
+
+    @pytest.mark.parametrize("n", [18, 21])
+    def test_sampled_masks_on_large_tables(self, n):
+        d = random_metric(n, 2, seed=11).values
+        masks = np.random.default_rng(n).integers(1, 2**n, size=1000)
+        assert_table_matches_oracle(evaluation._subset_table, d, 2, masks)
+
+    def test_memory_beside_the_table_is_bounded(self):
+        # the table at n = 18 is 2 MB and the build holds about 385 KB
+        # beside it at any n; a tuple of members per subset would take
+        # over 30 MB here
+        d = random_metric(18, 2, seed=11).values
+        evaluation._subset_table(d[:6, :6], 2, "balanced_k_median")
+        tracemalloc.start()
+        try:
+            w = evaluation._subset_table(d, 2, "balanced_k_median")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - w.nbytes < 2**19, peak - w.nbytes
+
+    @staticmethod
+    def table_with(monkeypatch, function, edits=()):
+        """`_subset_table` with `function`, it or the block formula of one
+        objective, rebuilt from its source with `edits` applied."""
+        rebuild = rebuilt(getattr(evaluation, function), edits)
+        if function == "_subset_table":
+            return rebuild
+        objective = "min_sum" if function == "_min_sum_blocks" else "balanced_k_median"
+        monkeypatch.setitem(evaluation._OBJECTIVES, objective, rebuild)
+        return evaluation._subset_table
+
+    @pytest.mark.parametrize("name", TABLE_MUTANTS)
+    @pytest.mark.parametrize("n", [9, 10, 12])
+    def test_mutant_fails_the_gate(self, monkeypatch, name, n):
+        function, edits = TABLE_MUTANTS[name]
+        d = random_metric(n, 2, seed=n).values
+        assert_table_matches_oracle(self.table_with(monkeypatch, function), d)
+        mutant = self.table_with(monkeypatch, function, edits)
+        with pytest.raises(AssertionError):
+            assert_table_matches_oracle(mutant, d)
 
 
 class TestObjectiveSandwich:
