@@ -31,7 +31,6 @@ from .evaluation import (
     clustering_distance,
     embed_kmeans_baseline,
     min_sum,
-    require_walk_fits,
     verify_stability,
 )
 from .generate import (
@@ -278,22 +277,23 @@ def cmd_verify(args) -> dict:
         raise ParameterError(
             "no stability parameters: pass --alpha/--epsilon or use a bundle"
         )
-    if args.check_stability:  # refused before the classification and audit
-        require_walk_fits(matrix.n, target.k)
+    seed = _resolve_seed(args)
+    # the walk refuses an oversized check before the classification and audit
+    verdict = (verify_stability(matrix, target, target.k, stability)
+               if args.check_stability else None)
     out = classify_points(matrix, target, stability).to_dict()
     out["version"] = __version__
     metric_report = check_metric(
         matrix,
         mode="exhaustive" if matrix.n <= 300 else "sampled",
-        seed=_resolve_seed(args),
+        seed=seed,
     )
     out["metric_check"] = {
         "mode": metric_report.mode,
         "triples_checked": metric_report.triples_checked,
         "violations": metric_report.violations,
     }
-    if args.check_stability:
-        verdict = verify_stability(matrix, target, target.k, stability)
+    if verdict is not None:
         out["stability_holds"] = verdict.holds
         if not verdict.holds:
             out["stability_counterexample"] = {

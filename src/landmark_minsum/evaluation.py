@@ -177,21 +177,23 @@ def clustering_distance(c1: Clustering, c2: Clustering) -> float:
     return _labels_distance(c1.labels(), c2.labels(), k, c1.n)
 
 
-# a chunk of the exhaustive walk is one label head and every tail that can
-# follow it; tails of 5 labels keep a chunk under 40k rows up to k = 12
+# a chunk of the exhaustive walk is one head and every tail that can follow
+# it; tails of 5 points keep a chunk under 40k partitions up to k = 12
 _TAIL = 5
 
 
-def _grow(rows: np.ndarray, used: np.ndarray, steps: int, k: int):
-    """Append `steps` labels to restricted-growth rows that use `used`
-    blocks so far, keeping at most k blocks and the lexicographic order."""
-    for _ in range(steps):
-        fan = np.minimum(used + 1, k)  # the next label runs over 0..fan-1
-        parent = np.repeat(np.arange(len(rows)), fan)
+def _grow(masks: np.ndarray, used: np.ndarray, first_bit: int, steps: int, k: int):
+    """Add points first_bit, ..., first_bit + steps - 1 to the partitions
+    that are the columns of k block masks and use `used` blocks so far,
+    keeping at most k blocks and the lexicographic order of label rows."""
+    for bit in range(first_bit, first_bit + steps):
+        fan = np.minimum(used + 1, k)  # the child labels run over 0..fan-1
+        parent = np.repeat(np.arange(len(used)), fan)
         label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
-        rows = np.column_stack([rows[parent], label])
+        masks = masks[:, parent]
+        masks[label, np.arange(len(parent))] |= 1 << bit
         used = np.maximum(used[parent], label + 1)
-    return rows, used
+    return masks, used
 
 
 def _walk_size(n: int, k: int) -> int:
@@ -204,32 +206,28 @@ def _walk_size(n: int, k: int) -> int:
     return (1 << n) + sum(row)
 
 
-def partition_chunks(n: int, k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def partition_chunks(n: int, k: int):
     """All partitions of range(n) into at most k non-empty blocks, in chunks.
 
-    Returns (heads, tails).  A partition is a restricted-growth label row
-    (blocks numbered by first appearance): a row of `heads` followed by a
-    row of `tails[c]`, where c is the number of blocks the head uses.  Heads
-    and the tails of each c are in lexicographic order, so reading head by
-    head and tail by tail gives every partition once in lexicographic
-    order, which doubles as the tie-break order of the exhaustive walk.
+    Returns (heads, used, tails).  A partition is a column of `heads` or'd
+    with one of `tails[c]`, where c = used[i] is the number of blocks head
+    i uses: row j holds the bits of the points in block j, blocks numbered
+    by their least point.  Heads and the tails of each c are in the
+    lexicographic order of their label rows, so reading head by head and
+    tail by tail gives every partition once in that order, which doubles
+    as the tie-break order of the exhaustive walk.
     """
     t = min(n - 1, _TAIL)
-    heads, used = _grow(
-        np.zeros((1, 1), np.int64), np.ones(1, np.int64), n - 1 - t, k
-    )
-    tails = {
-        c: _grow(np.zeros((1, 0), np.int64), np.array([c]), t, k)[0]
-        for c in sorted(set(used.tolist()))
-    }
-    return heads, tails
+    empty = np.zeros((k, 1), np.int64)  # no point in any block
+    heads, used = _grow(empty, np.zeros(1, np.int64), 0, n - t, k)
+    used = used.tolist()
+    tails = {c: _grow(empty, np.array([c]), n - t, t, k)[0] for c in set(used)}
+    return heads, used, tails
 
 
-def _block_masks(rows: np.ndarray, k: int, first_bit: int) -> np.ndarray:
-    """Row j holds, per label row, the bit mask of the points labelled j;
-    column q of `rows` is point first_bit + q."""
-    bits = np.left_shift(1, np.arange(first_bit, first_bit + rows.shape[1]))
-    return np.stack([((rows == j) * bits).sum(axis=1) for j in range(k)])
+def _labels(masks: np.ndarray, n: int) -> np.ndarray:
+    """The block of each of points 0..n-1 in block masks along axis 0."""
+    return (masks[..., None] >> np.arange(n) & 1).argmax(axis=0)
 
 
 def _members(labels, k: int) -> list[list[int]]:
@@ -397,19 +395,6 @@ class StabilityVerdict:
         return self.holds
 
 
-def require_walk_fits(n: int, k: int) -> None:
-    """Refuse, with a `ParameterError`, a stability walk over n points into
-    at most k blocks that would hold more than `_WALK_LIMIT` scores."""
-    # from n = 23 on 2^n alone is past the limit: no partitions are counted
-    size = _walk_size(n, k) if n < _WALK_LIMIT.bit_length() else None
-    if size is None or size > _WALK_LIMIT:
-        raise ParameterError(
-            f"stability check refused: its walk at n={n}, k={k} holds "
-            f"{size or f'more than 2^{n}'} scores, over the limit of "
-            f"{_WALK_LIMIT}"
-        )
-
-
 def _subset_table(d: np.ndarray, k: int, objective: str) -> np.ndarray:
     """w[mask]: the one-block score of each subset of range(n), w[0] = 0.0.
 
@@ -456,39 +441,44 @@ def verify_stability(
 
     Every clustering within factor (1 + alpha) of the optimum must be
     within distance epsilon of the target; returns the first counterexample
-    otherwise.  Refuses, before building any array, a walk that would hold
-    more than `_WALK_LIMIT` scores (`require_walk_fits`).
+    otherwise.  Refuses, with a `ParameterError` and before building any
+    array, a walk that would hold more than `_WALK_LIMIT` scores.
 
     Each subset a partition can use is scored once, in numpy batches of
     one block size (`_subset_table`); a partition's score sums those of
-    its blocks.
-    What remains in Python is one loop step per chunk of partitions and
-    one per partition within the limit, so the walk costs its partitions.
+    its blocks, read by their bit masks, and only the partitions within
+    the limit are decoded to labels.  What remains in Python is one loop
+    step per chunk of partitions and one per partition within the limit,
+    so the walk costs its partitions.
     """
     n = m.n
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if objective not in _OBJECTIVES:
         raise ParameterError(f"unknown objective {objective!r}")
-    require_walk_fits(n, k)
+    # from n = 23 on 2^n alone is past the limit: no partitions are counted
+    size = _walk_size(n, k) if n < _WALK_LIMIT.bit_length() else None
+    if size is None or size > _WALK_LIMIT:
+        raise ParameterError(
+            f"stability check refused: its walk at n={n}, k={k} holds "
+            f"{size or f'more than 2^{n}'} scores, over the limit of "
+            f"{_WALK_LIMIT}"
+        )
     _require_partition(target, m.n)
     w = _subset_table(m.values, k, objective)
     # a partition scores w over its blocks in label order (an empty block
     # reads w[0] = 0.0), the IEEE order of the objective's own running sum
-    heads, tails = partition_chunks(n, k)
-    used = (heads.max(axis=1) + 1).tolist()
-    head_masks = _block_masks(heads, k, 0)
-    tail_masks = {c: _block_masks(t, k, heads.shape[1]) for c, t in tails.items()}
-    offsets = np.cumsum([0] + [len(tails[c]) for c in used]).tolist()
+    heads, used, tails = partition_chunks(n, k)
+    offsets = np.cumsum([0] + [tails[c].shape[1] for c in used]).tolist()
     # one score per partition (8 bytes each), then a replay of the walk
     # beside them: the first partition within the limit and too far from
     # the target is the counterexample
     scores = np.empty(offsets[-1])
     for i, c in enumerate(used):
         chunk = scores[offsets[i]:offsets[i + 1]]
-        np.take(w, head_masks[0, i] | tail_masks[c][0], out=chunk)
+        np.take(w, heads[0, i] | tails[c][0], out=chunk)
         for j in range(1, k):
-            chunk += w[head_masks[j, i] | tail_masks[c][j]]
+            chunk += w[heads[j, i] | tails[c][j]]
     opt = float(scores.min())
     limit = (1.0 + params.alpha) * opt
     kk = max(k, target.k)
@@ -496,7 +486,7 @@ def verify_stability(
     for i, c in enumerate(used):
         start = offsets[i]
         for r in np.flatnonzero(scores[start:offsets[i + 1]] <= limit).tolist():
-            labels = np.concatenate([heads[i], tails[c][r]])
+            labels = _labels(heads[:, i] | tails[c][:, r], n)
             dist = _labels_distance(labels, target_labels, kk, n)
             if not dist < params.epsilon:
                 return StabilityVerdict(

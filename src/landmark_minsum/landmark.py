@@ -380,6 +380,8 @@ def cluster_min_sum(table: LandmarkTable, k: int, threshold: float) -> Clusterin
 class _RunState(NamedTuple):
     """A run's state just before the test of the pair at `offset` in chunk
     `chunk` of the stream: what `_stream_min_sum` needs to go on from there.
+    `offset` is None where the state was saved inside a piece of a split
+    chunk: no chunk of the stream starts there, so the state cannot resume.
     `clustered` is the run's one liveness set, `sizes` the ball sizes (the
     largest is recomputed on resume), `clusters` the clusters extracted so
     far and `fired` the smallest product fired so far.
@@ -435,8 +437,7 @@ def _stream_min_sum(
     distance near its median (`_Chunk.split`), and the run reads the two
     halves as chunks of their own, the lower one first.  So it sorts only
     pieces of at most `_LEAF` pairs, or of one distance, and takes the
-    quiet pieces between its extractions unsorted.  A saved offset then
-    points into a piece, not into the chunk.
+    quiet pieces between its extractions unsorted.
 
     With `saves` a list, the run appends its state before each record-low
     extraction, one whose product is below every product fired before it
@@ -444,9 +445,10 @@ def _stream_min_sum(
     is the last of them.  A run started from such a state, at a threshold
     equal to its extraction's product, is the run at that threshold: every
     earlier test has the same outcome there, and this one does not fire.
-    `chunks` then yields the stream from the state's chunk on.  Both need
-    the chunks as a caller's lists; the run takes the state over and
-    changes it.
+    `chunks` then yields the stream from the state's chunk on; the run
+    takes the state over and changes it.  A state saved inside a piece of
+    a split chunk has offset None, since no offset into the chunk holds it,
+    and a run started from it raises `InvariantViolation`.
     """
     n = table.n
     _validate_run(n, k, threshold)
@@ -456,14 +458,16 @@ def _stream_min_sum(
     if start is None:
         start = _RunState(0, 0, set(), [set() for _ in lid], [0] * len(lid), [],
                           INF, None)
+    elif start.offset is None:
+        raise InvariantViolation("cannot resume a state saved inside a split chunk")
     # last: distance of the last inserted pair; None after an extraction
     first, offset, clustered, balls, sizes, clusters, fired, last = start
     max_size = max(sizes)
     dead = None  # the clustered points as a mask, built when bulk work needs it
     ints = None  # the points as Python ints, one object per point for all balls
-    for ci, c in enumerate(chunks, first):
+    for ci, chunk in enumerate(chunks, first):
         pos, offset = offset, 0
-        pieces = [c]  # a stack: the lower half of a split is read first
+        pieces = [chunk]  # a stack: the lower half of a split is read first
         while pieces:
             c = pieces.pop()
             if type(c) is _Chunk and c.cut and not pos:
@@ -511,8 +515,9 @@ def _stream_min_sum(
                         if product < fired:
                             if saves is not None:
                                 # zip has read this pair from every column
+                                at = len(c[0]) - length_hint(cols[0]) - 1
                                 saves.append(_RunState(
-                                    ci, len(c[0]) - length_hint(cols[0]) - 1,
+                                    ci, at if c is chunk else None,
                                     set(clustered), list(map(set.copy, balls)),
                                     sizes[:], clusters[:], fired, last,
                                 ))

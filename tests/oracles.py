@@ -16,7 +16,7 @@ loops the triangle audit vectorises: each lists the violating triples the
 audit counts, in the order in which it meets them, so the first is its
 witness.  `emit_pairs` inverts `ingest_similarity`.
 `partitions_upto_k` is the recursive generator of the restricted-growth
-label rows that `partition_chunks` builds in numpy.  `subset_table` scores
+label rows whose block masks `partition_chunks` builds in numpy.  `subset_table` scores
 each subset by one `cluster_score` call, the per-cluster objective formulas,
 where `verify_stability` scores the subsets in batches of one block size.
 `brute_force_optimum` and `two_pass_verify_stability` score every partition

@@ -576,6 +576,22 @@ class TestVerifyCommand:
             "2^40 scores, over the limit of 4217693"
         )
 
+    def test_bad_seed_is_reported_before_the_walk_runs(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the stability walk would fail the test
+        monkeypatch.setattr("landmark_minsum.cli.verify_stability", pytest.fail)
+        monkeypatch.setenv("LANDMARK_MINSUM_SEED", "x")
+        out = tmp_path / "n8"
+        save_bundle(generate(InstanceSpec(sizes=(4, 4), theta=1.5, seed=11)), out)
+        code, stdout, err = run_cli(
+            capsys, "verify", "--input", str(out), "--check-stability"
+        )
+        assert code == 2 and stdout == ""
+        assert json.loads(err)["message"] == (
+            "LANDMARK_MINSUM_SEED must be an integer, got 'x'"
+        )
+
     def test_bundle_label_file_missing_point_is_data_error(
         self, capsys, bundle_dir
     ):

@@ -29,7 +29,6 @@ from landmark_minsum import (
     verify_stability,
 )
 from landmark_minsum import evaluation
-from landmark_minsum.evaluation import partition_chunks
 
 from conftest import (
     bijection_distance_oracle,
@@ -52,13 +51,22 @@ from oracles import (
 
 
 def chunk_rows(n: int, k: int) -> list[tuple[int, ...]]:
-    """The label rows of `partition_chunks`, head by head and tail by tail."""
-    heads, tails = partition_chunks(n, k)
+    """The label rows of `partition_chunks`, head by head and tail by tail,
+    decoded from their block masks by the walk's own `_labels`."""
+    heads, used, tails = evaluation.partition_chunks(n, k)
     return [
-        tuple(head) + tuple(tail)
-        for head in heads.tolist()
-        for tail in tails[max(head) + 1].tolist()
+        tuple(row)
+        for i, c in enumerate(used)
+        for row in evaluation._labels(heads[:, i, None] | tails[c], n).tolist()
     ]
+
+
+def chunk_gate():
+    """Every partition of n <= 9 points into at most k blocks, in the
+    recursive generator's order."""
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            assert chunk_rows(n, k) == list(partitions_upto_k(n, k)), (n, k)
 
 
 class TestMinSum:
@@ -276,9 +284,7 @@ class TestBruteForce:
         assert len(chunk_rows(5, 3)) == 41
 
     def test_chunks_match_recursive_generator(self):
-        for n in range(1, 10):
-            for k in range(1, n + 1):
-                assert chunk_rows(n, k) == list(partitions_upto_k(n, k)), (n, k)
+        chunk_gate()
 
 
 class TestClassifyAndStructure:
@@ -635,6 +641,56 @@ class TestSingleWalkMatchesTwoPass:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * stirling_partition_count(n, n) + 16 * 2**20
+
+
+# mutants of how the walk grows and decodes its partitions, as (function,
+# (old, new) edits of its source)
+WALK_MUTANTS = {
+    "tails-from-bit-n-t-1": ("partition_chunks", [
+        ("n - t, t, k)", "n - t - 1, t, k)"),
+    ]),
+    "block-counts-off-by-one": ("_grow", [
+        ("label + 1)", "label)"),
+    ]),
+    "labels-from-wrong-block": ("_labels", [
+        (".argmax(axis=0)", ".argmin(axis=0)"),
+    ]),
+}
+
+
+def walk_gate():
+    """`TestSingleWalkMatchesTwoPass`'s check on its uniform control and on
+    a planted (3, 3, 2) bundle at its k = 3."""
+    uniform = generate_adversarial("uniform", n=9, k=2, seed=0)
+    params = StabilityParams(alpha=1.0, epsilon=0.2)
+    TestSingleWalkMatchesTwoPass.check(
+        uniform.matrix, uniform.target, 2, params, "balanced_k_median"
+    )
+    inst = generate(InstanceSpec(sizes=(3, 3, 2), theta=1.5, seed=2))
+    TestSingleWalkMatchesTwoPass.check(
+        inst.matrix, inst.target, 3, params, "min_sum"
+    )
+
+
+class TestWalkMutants:
+    """A rebuild of `partition_chunks`, `_grow` or `_labels` with a mutant
+    edit fails both gates of the walk, `chunk_gate` and `walk_gate`, on
+    pinned cases; the unedited rebuild passes them."""
+
+    @pytest.mark.parametrize("function", ["partition_chunks", "_grow", "_labels"])
+    def test_rebuilt_walk_passes(self, monkeypatch, function):
+        monkeypatch.setattr(evaluation, function, rebuilt(getattr(evaluation, function)))
+        chunk_gate()
+        walk_gate()
+
+    @pytest.mark.parametrize("gate", [chunk_gate, walk_gate], ids=["chunks", "walk"])
+    @pytest.mark.parametrize("name", WALK_MUTANTS)
+    def test_mutant_fails_the_gate(self, monkeypatch, name, gate):
+        function, edits = WALK_MUTANTS[name]
+        mutant = rebuilt(getattr(evaluation, function), edits)
+        monkeypatch.setattr(evaluation, function, mutant)
+        with pytest.raises(AssertionError):
+            gate()
 
 
 def tied_metrics(n: int) -> dict[str, MetricMatrix]:

@@ -190,8 +190,6 @@ def test_artifacts_match_the_corpus(name):
     pytest.xfail(f"recorded under {recorded}, run under {_versions()}: {difference}")
 
 
-
-
 def test_uniform_control_counterexample():
     # the corpus pins it by digest; its content, readable: the first
     # partition in label order within (1 + alpha) OPT and 4/9 from the target

@@ -600,6 +600,39 @@ class TestBulkStretches:
         assert mask.called or not masked
 
 
+class TestResumeAfterSplit:
+    """A state saved inside a piece of a split chunk has no offset into the
+    chunk, so a run started from it raises; one saved in a whole chunk
+    resumes to the run at its product."""
+
+    @staticmethod
+    def last_save(table, leaf):
+        """The last state that the run at T = 0.5 over `table.chunks()`
+        saves, with leaves of `leaf` pairs and first chunks of 64, the
+        run's fired product and the chunks sorted whole."""
+        with mock.patch.object(landmark_module, "_LEAF", leaf), \
+                mock.patch.object(landmark_module, "_FIRST_CHUNK", 64):
+            saves = []
+            _, fired = _stream_min_sum(table, 3, 0.5, table.chunks(), None, saves)
+            return saves[-1], fired, [tuple(c) for c in table.chunks()]
+
+    def test_resume_from_a_piece_raises(self):
+        # resumed over the whole sorted chunks, this state gave a run other
+        # than the one at its product, and raised nothing
+        table = table_for(random_metric(40, 2, seed=0), sample_landmarks(40, 6, 0))
+        start, fired, lists = self.last_save(table, leaf=4)
+        assert start.offset is None
+        with pytest.raises(InvariantViolation, match="split chunk"):
+            _stream_min_sum(table, 3, fired, iter(lists[start.chunk:]), start)
+
+    def test_resume_from_a_whole_chunk_matches_a_fresh_run(self):
+        table = table_for(random_metric(40, 2, seed=0), sample_landmarks(40, 6, 0))
+        start, fired, lists = self.last_save(table, leaf=landmark_module._LEAF)
+        assert start.offset is not None
+        fresh = _stream_min_sum(table, 3, fired, iter(lists))
+        assert _stream_min_sum(table, 3, fired, iter(lists[start.chunk:]), start) == fresh
+
+
 class TestChunkSorts:
     """Work-count guards for the quiet chunks a run takes unsorted and the
     chunks it splits: a run sorts only pieces of at most `_LEAF` pairs, or

@@ -330,8 +330,8 @@ _FRESH_SAVE = ("                        if product < fired:\n"
                "                            if saves is not None:")
 RESUME_MUTANTS = {
     "one-test-late": [(
-        "len(c[0]) - length_hint(cols[0]) - 1,",
-        "len(c[0]) - length_hint(cols[0]),",
+        "len(c[0]) - length_hint(cols[0]) - 1\n",
+        "len(c[0]) - length_hint(cols[0])\n",
     )],
     # the state saved once the record-low extraction is done, k-th included
     "after-the-extraction": [
