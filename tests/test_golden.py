@@ -1,17 +1,21 @@
-"""Golden-artifact corpus: CLI runs on three small bundles, every file they
-write compared with the SHA-256 digest recorded in `golden_corpus.json`.
+"""Golden-artifact corpus: CLI runs on small bundles, every file they write
+compared with the SHA-256 digest recorded in `golden_corpus.json`.  The
+bundles are planted ones (k = 3 and 8), the adversarial kinds, the bundled
+similarity TSV after `ingest`, and a pair file with infinite distances.
 
 Each bundle's commands run in-process, in a fresh working directory and with
-relative paths, so no artifact holds a temporary path.  A command's stdout,
+relative paths (the bundled TSV is read from the package), so no artifact
+holds a temporary path.  A command's stdout,
 its non-empty stderr and its exit code are artifacts too.  For a JSON
 artifact the corpus also records a short digest of each key (dicts nested as
 "a.b", lists as one value), so a mismatch names the first key that differs.
 
-The digests were recorded under the Python and numpy versions stored beside
-them.  Under those versions a mismatch fails.  Under other versions the
-commands still run and are compared: a match passes, and a mismatch is
-reported as an expected failure (xfail) that names both version pairs and the
-first differing key, since another numpy may order a float sum differently.
+The digests were recorded under the Python major.minor and numpy versions
+stored beside them.  Under those versions a mismatch fails.  Under other
+versions the commands still run and are compared: a match passes, and a
+mismatch is reported as an expected failure (xfail) that names both version
+pairs and the first differing key, since another numpy or Python minor may
+order a float sum differently.
 
 To record the corpus again after a deliberate change of an artifact:
 
@@ -28,6 +32,7 @@ import os
 import platform
 import sys
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +45,34 @@ CORPUS = Path(__file__).with_name("golden_corpus.json")
 
 
 def _planted(sizes: str, theta: str, seed: str, bad_fraction: str = "0.0"):
-    """The `generate` command that writes a planted bundle named "bundle"."""
-    return ["generate", "--sizes", sizes, "--theta", theta,
-            "--bad-fraction", bad_fraction, "--seed", seed, "--output", "bundle"]
+    """The `generate` step that writes a planted bundle named "bundle"."""
+    return ("generate", ["generate", "--sizes", sizes, "--theta", theta,
+                         "--bad-fraction", bad_fraction, "--seed", seed,
+                         "--output", "bundle"])
 
 
-def _uniform_control(work: Path) -> None:
-    """The uniform n = 9, k = 2 metric; `generate` makes planted bundles only."""
-    save_bundle(generate_adversarial("uniform", n=9, k=2, seed=0), work / "bundle")
+def _adversarial(kind: str, n: int, k: int):
+    """A maker that saves the adversarial kind as "bundle"; `generate` makes
+    planted bundles only."""
+    def make(work: Path) -> None:
+        save_bundle(generate_adversarial(kind, n=n, k=k, seed=0), work / "bundle")
+    return make
+
+
+TOY_SCORES = resources.files("landmark_minsum").joinpath("data/toy_scores.tsv")
+
+# 8 ids: triangles a-b-c and d-e-f and a pair g-h with no hit to either, so
+# the completed clustering joins g and h to a cluster at infinite distance
+INF_PAIRS = "".join(f"{a}\t{b}\t{s}\n" for a, b, s in (
+    ("id_a", "id_b", "bit_score"),
+    ("a", "b", 50), ("a", "c", 45), ("b", "c", 40),
+    ("d", "e", 48), ("d", "f", 42), ("e", "f", 44),
+    ("g", "h", 1),
+))
+
+
+def _write_inf_pairs(work: Path) -> None:
+    (work / "pairs.tsv").write_text(INF_PAIRS)
 
 
 def _queries(k: str, landmarks: str, threshold: str, seed: str, stop_bound: str):
@@ -81,30 +106,64 @@ def _verify(seed: str, *extra: str):
     ]
 
 
-# per bundle: a maker, called with the working directory, or the argv of
-# the `generate` run that writes it, then the commands run on it
+# per bundle: a maker, called with the working directory, or None; then the
+# commands run in it, as (name, argv) pairs
 BUNDLES = {
     # n = 66: its stability walk is refused, so that message is pinned
-    "planted-k3": (
+    "planted-k3": (None, [
         _planted("30,20,15", "4.0", "5", bad_fraction="0.02"),
-        _queries("3", "10", "1.0", "5", "2") + _verify("5"),
-    ),
+        *_queries("3", "10", "1.0", "5", "2"), *_verify("5"),
+    ]),
     # n = 11, k = 3: the stability check holds
-    "planted-n11": (
+    "planted-n11": (None, [
         _planted("4,4,3", "1.5", "2"),
-        _queries("3", "4", "0.05", "2", "1") + _verify("2"),
-    ),
+        *_queries("3", "4", "0.05", "2", "1"), *_verify("2"),
+    ]),
+    # n = 36, k = 8: the raw run leaves three points unassigned
+    "planted-k8": (None, [
+        _planted("6,6,5,5,4,4,3,3", "2.0", "3"),
+        *_queries("8", "16", "1.0", "3", "2"), _verify("3")[0],
+    ]),
     # the stability check fails and pins its counterexample
     "uniform-n9": (
-        _uniform_control,
+        _adversarial("uniform", 9, 2),
         _queries("2", "3", "2.0", "0", "1")
         + _verify("0", "--alpha", "1", "--epsilon", "0.2"),
     ),
+    "duplicates-n12": (
+        _adversarial("duplicate_points", 12, 3),
+        _queries("3", "6", "1.0", "0", "1")
+        + _verify("0", "--alpha", "1", "--epsilon", "0.2"),
+    ),
+    "outlier-n12": (
+        _adversarial("single_outlier_cluster", 12, 2),
+        _queries("2", "4", "5.0", "0", "1")
+        + _verify("0", "--alpha", "1", "--epsilon", "0.2"),
+    ),
+    # the bundled TSV: 27 ids, most pairs unreported (+inf)
+    "toy-ingest": (None, [
+        ("ingest", ["ingest", "--input", str(TOY_SCORES), "--output", "toy.csv",
+                    "--ids-output", "ids.csv"]),
+        ("cluster", ["cluster", "--input", "toy.csv", "--k", "3",
+                     "--landmarks", "10", "--threshold", "0.5", "--seed", "1",
+                     "--output", "cluster.json"]),
+        ("sweep", ["sweep", "--input", "toy.csv", "--k", "3", "--landmarks", "10",
+                   "--stop-bound", "3", "--seed", "1", "--output", "sweep.json"]),
+    ]),
+    # an 8-id pair file whose completion assigns at infinite distance
+    "inf-pairs": (_write_inf_pairs, [
+        (name, ["cluster", "--input", "pairs.tsv", "--k", "2", "--landmarks", "8",
+                "--threshold", "1.0", "--seed", "0", *extra,
+                "--output", f"{name}.json"])
+        for name, extra in (("cluster-raw", ["--raw"]), ("cluster", []))
+    ]),
 }
 
 
 def _versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    # a Python patch release keeps float sums as they are; 3.12 changed them
+    python = ".".join(platform.python_version_tuple()[:2])
+    return {"python": python, "numpy": np.__version__}
 
 
 def _key_digests(value, prefix: str = "") -> dict:
@@ -144,10 +203,8 @@ def run_bundle(name: str) -> dict:
     returns the record of every artifact by its relative path."""
     make, commands = BUNDLES[name]
     with _fresh_directory() as work:
-        if callable(make):
+        if make is not None:
             make(work)
-        else:
-            commands = [("generate", make), *commands]
         for step, argv in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
