@@ -18,6 +18,7 @@ from .landmark import (
     Clustering,
     StabilityParams,
     bad_point_budget,
+    build_landmark_table,
     sample_landmarks,
 )
 from .metric import DistanceSource, MetricMatrix
@@ -519,9 +520,8 @@ def embed_kmeans_baseline(
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if max_iters < 1:  # with no iteration no point would get a label
         raise ParameterError(f"need max_iters >= 1, got {max_iters}")
-    landmarks = sample_landmarks(n, d_landmarks, seed)
-    rows = np.vstack([source.query_one_vs_all(l) for l in landmarks])
-    emb = rows.T.copy()  # point i -> distances to the d landmarks
+    table = build_landmark_table(source, sample_landmarks(n, d_landmarks, seed))
+    emb = table.rows.T.copy()  # point i -> distances to the d landmarks
 
     warnings = []
     finite = np.isfinite(emb)

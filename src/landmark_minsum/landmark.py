@@ -256,15 +256,12 @@ def _string_list(x) -> list[str]:
 class Clustering:
     """A (possibly partial) partition of points 0..n-1 into ordered clusters.
 
-    `unassigned` holds points not yet in any cluster; `cluster_landmarks`
-    records the landmark points contained in each cluster when produced by
-    the clustering sweep.
+    `unassigned` holds points not yet in any cluster.
     """
 
     n: int
     clusters: list[list[int]]
     unassigned: list[int] = field(default_factory=list)
-    cluster_landmarks: list[list[int]] | None = None
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -302,15 +299,12 @@ class Clustering:
             raise DataError(f"point {missing} missing from the clustering")
 
     def to_dict(self):
-        out = {
+        return {
             "n": self.n,
             "clusters": [list(c) for c in self.clusters],
             "unassigned": list(self.unassigned),
             "warnings": list(self.warnings),
         }
-        if self.cluster_landmarks is not None:
-            out["cluster_landmarks"] = [list(c) for c in self.cluster_landmarks]
-        return out
 
     @classmethod
     def read_json(cls, path) -> "Clustering":
@@ -318,7 +312,7 @@ class Clustering:
 
         `n` and every point id must be a non-negative JSON integer: `1.7`,
         `"1"` or `true` is not read as a point.  `warnings` must be a list
-        of strings.
+        of strings.  Other keys, such as an artifact's `params`, are ignored.
         """
         try:
             with open_input(path) as fh:
@@ -327,11 +321,6 @@ class Clustering:
                 n=_non_negative_int(d["n"]),
                 clusters=[[_non_negative_int(x) for x in c] for c in d["clusters"]],
                 unassigned=[_non_negative_int(x) for x in d.get("unassigned", [])],
-                cluster_landmarks=(
-                    [[_non_negative_int(x) for x in c] for c in d["cluster_landmarks"]]
-                    if "cluster_landmarks" in d
-                    else None
-                ),
                 warnings=_string_list(d.get("warnings", [])),
             )
         except KeyError as exc:
@@ -573,22 +562,18 @@ def _insert(balls: list[set[int]], points: np.ndarray, counts) -> list[int]:
 
 def _as_clustering(table: LandmarkTable, k: int, clusters: list) -> Clustering:
     """The `Clustering` of one run's bare clusters from `_stream_min_sum`:
-    each cluster is sorted, points in no cluster are unassigned, each
-    cluster's landmarks are its landmark points in ascending order, and
-    fewer than k clusters are padded with empty ones under a
+    each cluster is sorted, points in no cluster are unassigned, and fewer
+    than k clusters are padded with empty ones under a
     `padded_empty_clusters:N` warning."""
     clusters = [sorted(members) for members in clusters]
     unclustered = np.ones(table.n, dtype=bool)
     for members in clusters:
         unclustered[members] = False
-    is_landmark = set(table.landmark_ids)
-    landmarks = [[q for q in members if q in is_landmark] for members in clusters]
     pad = k - len(clusters)
     return Clustering(
         n=table.n,
         clusters=clusters + [[] for _ in range(pad)],
         unassigned=np.flatnonzero(unclustered).tolist(),
-        cluster_landmarks=landmarks + [[] for _ in range(pad)],
         warnings=[f"padded_empty_clusters:{pad}"] if pad else [],
     )
 
@@ -621,6 +606,5 @@ def assign_remainder(c: Clustering, table: LandmarkTable) -> Clustering:
         n=c.n,
         clusters=[sorted(m) for m in clusters],
         unassigned=[],
-        cluster_landmarks=c.cluster_landmarks,
         warnings=warnings,
     )

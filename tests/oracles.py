@@ -20,10 +20,10 @@ label rows whose block masks `partition_chunks` builds in numpy.  `subset_table`
 each subset by one `cluster_score` call, the per-cluster objective formulas,
 where `verify_stability` scores the subsets in batches of one block size.
 `brute_force_optimum` and `two_pass_verify_stability` score every partition
-through the public objectives; the second walks the partitions twice, once
-for the optimum and once for the first counterexample, where
-`verify_stability` scores each subset once, sums those scores per partition
-and replays the walk.
+through the public objectives; the second keeps each partition's score and
+passes over that list twice, once for the optimum and once for the first
+counterexample, where `verify_stability` scores each subset once, sums those
+scores per partition and replays the walk.
 `two_call_classify_points` and `two_call_verify_structure` are the
 classification and the structural check as two calls with a mutable report,
 which `classify_points` does in one.
@@ -187,7 +187,6 @@ def conceptual_cluster_min_sum(
     alive = np.ones(n_prime, dtype=bool)
 
     clusters: list[list[int]] = []
-    cluster_landmarks: list[list[int]] = []
     warnings: list[str] = []
 
     def active_distances():
@@ -209,21 +208,15 @@ def conceptual_cluster_min_sum(
         overlap = (within & within[best]).any(axis=1)
         members = np.nonzero(within[overlap].any(axis=0))[0]
         clusters.append([int(x) for x in members])
-        lmarks = []
         for p in members:
             active[p] = False
             pos = pos_by_point.get(int(p))
             if pos is not None:
                 alive[pos] = False
-                lmarks.append(int(p))
-        cluster_landmarks.append(lmarks)
 
     def emit_remaining() -> None:
         rest = np.nonzero(active)[0]
         clusters.append([int(x) for x in rest])
-        cluster_landmarks.append(
-            sorted(pid for pid in ids if active[pid])
-        )
         active[rest] = False
 
     i = 1
@@ -260,12 +253,10 @@ def conceptual_cluster_min_sum(
         warnings.append(f"padded_empty_clusters:{k - len(clusters)}")
         while len(clusters) < k:
             clusters.append([])
-            cluster_landmarks.append([])
     return Clustering(
         n=n,
         clusters=clusters,
         unassigned=unassigned,
-        cluster_landmarks=cluster_landmarks,
         warnings=warnings,
     )
 
@@ -300,18 +291,13 @@ def loop_stream_min_sum(
     max_size = 0
 
     clusters: list[list[int]] = []
-    cluster_landmarks: list[list[int]] = []
     warnings: list[str] = []
 
     def emit_remaining() -> None:
         rest = [s for s in range(n) if not clustered[s]]
-        rest_set = set(rest)
         for s in rest:
             clustered[s] = 1
         clusters.append(rest)
-        cluster_landmarks.append(
-            sorted(pid for pid in table.landmark_ids if pid in rest_set)
-        )
 
     def extract(best: int) -> None:
         bstar = balls[best]
@@ -320,15 +306,12 @@ def loop_stream_min_sum(
             if alive[j] and sizes[j] and not balls[j].isdisjoint(bstar):
                 merged |= balls[j]
         members = sorted(merged)
-        lmarks = []
         for s in members:
             clustered[s] = 1
             pos = pos_by_point.get(s)
             if pos is not None:
                 alive[pos] = False
-                lmarks.append(s)
         clusters.append(members)
-        cluster_landmarks.append(lmarks)
         for j in range(n_prime):
             if alive[j] and sizes[j]:
                 balls[j] -= merged
@@ -392,12 +375,10 @@ def loop_stream_min_sum(
         warnings.append(f"padded_empty_clusters:{k - len(clusters)}")
         while len(clusters) < k:
             clusters.append([])
-            cluster_landmarks.append([])
     return Clustering(
         n=n,
         clusters=clusters,
         unassigned=unassigned,
-        cluster_landmarks=cluster_landmarks,
         warnings=warnings,
     ), fired
 
@@ -552,16 +533,16 @@ def two_pass_verify_stability(
     params: StabilityParams,
     objective: str = "balanced_k_median",
 ) -> StabilityVerdict:
-    """The stability check as two full walks: the optimum first, then the
-    first partition within (1 + alpha) of it and epsilon or more away from
-    the target."""
+    """The stability check as two passes over every partition, each scored
+    once: the optimum first, then the first partition within (1 + alpha) of
+    it and epsilon or more away from the target."""
     n = m.n
-    _, best = brute_force_optimum(m, k, objective, cap=n)
-    opt = best.value
+    score = OBJECTIVES[objective]
+    partitions = (_partition(labels, n, k) for labels in partitions_upto_k(n, k))
+    scored = [(c, score(c, m).value) for c in partitions]
+    opt = min(val for _, val in scored)
     limit = (1.0 + params.alpha) * opt
-    for labels in partitions_upto_k(n, k):
-        c = _partition(labels, n, k)
-        val = OBJECTIVES[objective](c, m).value
+    for c, val in scored:
         if val <= limit:
             dist = clustering_distance(c, target)
             if not dist < params.epsilon:

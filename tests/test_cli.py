@@ -380,6 +380,39 @@ class TestEvaluateCommand:
         assert payload["error"] == "DataError"
         assert str(bad) in payload["message"]
 
+    @pytest.mark.parametrize("stale", [
+        [[0, 1, 2], [3, 4, 5]], [[0.5], "x"], "oops",
+    ], ids=["as-written", "float-id", "not-a-list"])
+    def test_older_artifacts_with_landmark_lists_still_read(
+        self, capsys, tmp_path, stale
+    ):
+        # two `cluster` artifacts on an 8-id pair file, as older versions
+        # wrote them, each with a list of landmarks per cluster; the key is
+        # ignored, well-formed or not, and the output is the one those
+        # versions printed for the well-formed files
+        params = {"command": "cluster", "k": 2, "landmarks": 8, "raw": False,
+                  "seed": 0, "stability": None, "threshold": 1.0,
+                  "version": "0.1.0"}
+        x = {"cluster_landmarks": stale, "clusters": [[0, 1, 2, 6, 7], [3, 4, 5]],
+             "n": 8, "params": {**params, "landmark_ids": [7, 2, 6, 5, 3, 4, 1, 0]},
+             "queries_issued": 8, "unassigned": [],
+             "warnings": ["remainder_assigned_at_infinite_distance"]}
+        y = {"cluster_landmarks": [[3], [2]], "clusters": [[3, 4, 5, 6, 7], [0, 1, 2]],
+             "n": 8, "params": {**params, "landmark_ids": [3, 2, 6], "landmarks": 3,
+                                "seed": 1},
+             "queries_issued": 3, "unassigned": [],
+             "warnings": ["remainder_assigned_at_infinite_distance"]}
+        (tmp_path / "x.json").write_text(json.dumps(x))
+        (tmp_path / "y.json").write_text(json.dumps(y))
+        code, stdout, err = run_cli(
+            capsys, "evaluate", "--clustering", str(tmp_path / "x.json"),
+            "--against", str(tmp_path / "y.json"),
+        )
+        assert (code, err) == (0, "")
+        assert stdout == (
+            '{\n  "dist_to_target": 0.25,\n  "n": 8,\n  "version": "0.1.0"\n}\n'
+        )
+
     @pytest.mark.parametrize("clustering, message", [
         ({"n": 2, "clusters": [[0, 5]]}, "point 5 outside [0,2)"),
         ({"n": 2, "clusters": [[0, 1], [1]]}, "point 1 appears in two clusters"),

@@ -543,9 +543,9 @@ def small_metrics(draw):
 
 class TestSingleWalkMatchesTwoPass:
     """`verify_stability` scores each subset once, sums those scores per
-    partition and replays the walk; the oracle walks twice and scores every
-    partition through the public objectives.  Which subset each score
-    belongs to is `TestSubsetTable`'s gate."""
+    partition and replays the walk; the oracle scores every partition once
+    through the public objectives and passes over those scores twice.  Which
+    subset each score belongs to is `TestSubsetTable`'s gate."""
 
     @staticmethod
     def check(m, target, k, params, objective):

@@ -266,7 +266,6 @@ class TestClusterMinSum:
         c = cluster_min_sum(t, k=2, threshold=3.0)
         assert c.clusters == [[0, 1], [2, 3]]
         assert c.unassigned == []
-        assert c.cluster_landmarks == [[0, 1], [2, 3]]
 
     def test_k1_large_threshold_single_cluster_via_exhaustion(self):
         m = random_metric(12, 2, seed=4)
@@ -380,6 +379,18 @@ class TestAssignRemainder:
             best = min(clustered, key=lambda jp: (m.values[jp[1], p], jp[0]))
             assert labels[p] == base[best[1]]
 
+    def test_completed_landmarks_are_members_that_are_landmarks(self):
+        # 8 of the 10 landmarks are unassigned by the run; a clustering
+        # keeps no list of its own to go stale, so a cluster's landmarks
+        # are its members among the landmark ids
+        landmarks = sample_landmarks(60, 10, seed=3)
+        t = table_for(random_metric(60, 2, seed=3), landmarks)
+        done = assign_remainder(cluster_min_sum(t, k=2, threshold=5.0), t)
+        assert list(done.to_dict()) == ["n", "clusters", "unassigned", "warnings"]
+        assert [sorted(set(c) & set(landmarks)) for c in done.clusters] == [
+            [2, 5, 41, 49, 54], [4, 9, 12, 33, 44],
+        ]
+
     def test_error_without_clustered_landmark(self):
         m = random_metric(6, 2, seed=11)
         t = table_for(m, [0])
@@ -485,7 +496,6 @@ class TestMatchesLoopOracle:
                     run = _as_clustering(table, k, clusters)
                     assert run.clusters == ref.clusters
                     assert run.unassigned == ref.unassigned
-                    assert run.cluster_landmarks == ref.cluster_landmarks
                     assert run.warnings == ref.warnings
                     assert fired == ref_fired
                     if fired == math.inf:  # nothing fired: all clustered
